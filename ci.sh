@@ -16,12 +16,18 @@ cargo fmt --check
 echo "== clippy =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Golden legs: each co-simulation figure's --smoke JSON is its behavioural
+# contract. The run-vs-run diffs only catch nondeterminism; the diffs
+# against tests/golden/*_smoke.json also catch a deterministic behaviour
+# change. A deliberate change regenerates the golden in the same commit.
 echo "== fig_replay smoke (twice: results must be byte-identical) =="
 cargo run -q --release --offline -p bench --bin fig_replay -- --smoke
 mv BENCH_fig_replay.json BENCH_fig_replay.first.json
 cargo run -q --release --offline -p bench --bin fig_replay -- --smoke
 diff BENCH_fig_replay.first.json BENCH_fig_replay.json
 rm BENCH_fig_replay.first.json
+echo "== fig_replay smoke vs golden (behaviour pinned to tests/golden) =="
+diff tests/golden/fig_replay_smoke.json BENCH_fig_replay.json
 
 echo "== mac_table4 smoke (twice: structure must be stable, asserts must hold) =="
 # The binary's own acceptance asserts gate the streaming-vs-one-shot
@@ -69,6 +75,8 @@ mv BENCH_fig_rdma.json BENCH_fig_rdma.first.json
 cargo run -q --release --offline -p bench --bin fig_rdma -- --smoke
 diff BENCH_fig_rdma.first.json BENCH_fig_rdma.json
 rm BENCH_fig_rdma.first.json
+echo "== fig_rdma smoke vs golden (behaviour pinned to tests/golden) =="
+diff tests/golden/fig_rdma_smoke.json BENCH_fig_rdma.json
 
 echo "== fig_rekey smoke (twice: results must be byte-identical) =="
 # The key-plane gate: RC fleets under epoch rotation and leader failover.
@@ -81,6 +89,8 @@ mv BENCH_fig_rekey.json BENCH_fig_rekey.first.json
 cargo run -q --release --offline -p bench --bin fig_rekey -- --smoke
 diff BENCH_fig_rekey.first.json BENCH_fig_rekey.json
 rm BENCH_fig_rekey.first.json
+echo "== fig_rekey smoke vs golden (behaviour pinned to tests/golden) =="
+diff tests/golden/fig_rekey_smoke.json BENCH_fig_rekey.json
 
 echo "== fig_scale smoke (twice: results must be byte-identical) =="
 # The scale-out gate: generated fat-tree/dragonfly fabrics, multi-path
@@ -126,9 +136,9 @@ diff <(strip_thread_axis BENCH_fig_scale.t1.json) \
 rm BENCH_fig_scale.t1.json
 
 echo "== sim_engine smoke (scheduler equivalence + calendar-vs-heap gate) =="
-# The binary's own asserts gate (a) all three scheduler arms popping the
-# identical event stream and (b) the calendar queue keeping pace with the
-# compact-key heap on the hold-model workload.
+# The binary's own asserts gate (a) both scheduler arms (calendar queue and
+# compact-key heap) popping the identical event stream and (b) the calendar
+# queue keeping pace with the compact-key heap on the hold-model workload.
 cargo run -q --release --offline -p bench --bin sim_engine -- --smoke
 
 echo "== jsonck: emitted results parse back through ib_runtime::json =="

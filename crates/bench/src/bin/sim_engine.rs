@@ -5,16 +5,13 @@
 //!
 //! * `scheduler/*` — a deterministic hold-model workload (prefill, then
 //!   pop-one/push-one at the popped time plus a drawn delta, then drain)
-//!   over three priority-queue arms:
+//!   over two priority-queue arms:
 //!   - `calendar` — the production [`EventQueue`]: timing wheel over
 //!     compact keys with a binary-heap overflow;
 //!   - `heap` — [`HeapQueue`], the same arena + compact keys under a
-//!     plain binary heap (the property-test oracle);
-//!   - `heap-inline` — the pre-overhaul design: a binary heap moving a
-//!     ~104-byte payload inline through every sift, kept only to record
-//!     the trajectory the overhaul bought.
+//!     plain binary heap (the property-test oracle).
 //!
-//!   All arms replay the identical op script and must pop the identical
+//!   Both arms replay the identical op script and must pop the identical
 //!   `(time, payload)` stream (asserted before anything is timed).
 //! * `engine/*` — `Simulator::run_counted` over figure-sized cells
 //!   (baseline, attack with no filtering / DPT / SIF), reporting
@@ -28,8 +25,6 @@
 //!
 //! Usage: `sim_engine [--smoke] [--seed S]`
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use bench::seed_arg;
@@ -43,7 +38,7 @@ use ib_sim::parallel::ParSimulator;
 use ib_sim::time::{SimTime, MS, US};
 
 /// Scheduler arms, baseline-last display order (calendar is the product).
-const ARMS: [&str; 3] = ["calendar", "heap", "heap-inline"];
+const ARMS: [&str; 2] = ["calendar", "heap"];
 
 /// One op script entry: the delta (ps) to add to the popped event's time
 /// when re-pushing. The mix matches the simulator's event population:
@@ -61,41 +56,7 @@ fn make_deltas(seed: ib_runtime::Seed, steps: usize) -> Vec<SimTime> {
         .collect()
 }
 
-/// The pre-overhaul payload shape: what the old queue memcpy'd per sift.
-#[derive(Clone)]
-struct InlinePayload {
-    _header: [u64; 12],
-    tag: u64,
-}
-
-/// The pre-overhaul scheduler: payloads ride inline in the heap entries,
-/// with the (time, seq) prefix carrying the real order — the shape the
-/// compact-key arena design replaced.
-struct InlineHeap {
-    heap: BinaryHeap<Reverse<(SimTime, u64, InlineEntry)>>,
-    seq: u64,
-}
-
-struct InlineEntry(InlinePayload);
-
-impl PartialEq for InlineEntry {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-impl Eq for InlineEntry {}
-impl PartialOrd for InlineEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for InlineEntry {
-    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
-}
-
-/// The one shape all three arms implement, so the workload runner and the
+/// The one shape both arms implement, so the workload runner and the
 /// equivalence gate are written once.
 trait Sched {
     fn push(&mut self, at: SimTime, tag: u64);
@@ -117,23 +78,6 @@ impl Sched for HeapQueue<u64> {
     }
     fn pop(&mut self) -> Option<(SimTime, u64)> {
         HeapQueue::pop(self)
-    }
-}
-
-impl Sched for InlineHeap {
-    fn push(&mut self, at: SimTime, tag: u64) {
-        self.seq += 1;
-        self.heap.push(Reverse((
-            at,
-            self.seq,
-            InlineEntry(InlinePayload {
-                _header: [tag; 12],
-                tag,
-            }),
-        )));
-    }
-    fn pop(&mut self) -> Option<(SimTime, u64)> {
-        self.heap.pop().map(|Reverse((t, _, e))| (t, e.0.tag))
     }
 }
 
@@ -211,16 +155,10 @@ fn main() {
         .collect();
     let deltas = make_deltas(seed.stream(2), steps);
 
-    // ---- equivalence gate: all arms pop the identical stream ----
-    let fresh: [fn() -> Box<dyn Sched>; 3] = [
+    // ---- equivalence gate: both arms pop the identical stream ----
+    let fresh: [fn() -> Box<dyn Sched>; 2] = [
         || Box::new(EventQueue::<u64>::new()),
         || Box::new(HeapQueue::<u64>::new()),
-        || {
-            Box::new(InlineHeap {
-                heap: BinaryHeap::new(),
-                seq: 0,
-            })
-        },
     ];
     let streams: Vec<Vec<(SimTime, u64)>> = fresh
         .iter()
@@ -230,23 +168,19 @@ fn main() {
         streams[0], streams[1],
         "calendar and compact-key heap must pop the identical (time, payload) stream"
     );
-    assert_eq!(
-        streams[0], streams[2],
-        "calendar and inline heap must pop the identical (time, payload) stream"
-    );
     let total_ops = 2 * (prefill.len() + deltas.len()) as u64;
     println!(
-        "OK: all scheduler arms pop the identical {}-event stream ({total_ops} ops).\n",
+        "OK: both scheduler arms pop the identical {}-event stream ({total_ops} ops).\n",
         streams[0].len()
     );
 
     // ---- scheduler timing: arms interleaved sample by sample ----
     // This host's clock throttles by tens of percent over seconds, so a
-    // frequency dip lands on all arms of the adjacent sample triple, not
+    // frequency dip lands on both arms of the adjacent sample pair, not
     // on whichever arm happened to run in that window (same idiom as
     // mac_table4). One workload replay is milliseconds, so batch = 1.
     let mut harness = Harness::new(config);
-    let mut sample_ns: [Vec<f64>; 3] = [const { Vec::new() }; 3];
+    let mut sample_ns: [Vec<f64>; 2] = [const { Vec::new() }; 2];
     let warmup_end = Instant::now() + config.warmup;
     while Instant::now() < warmup_end {
         for new in &fresh {
@@ -328,11 +262,11 @@ fn main() {
     }
 
     // ---- acceptance gate: calendar ≥ heap on the hold workload ----
-    // Median *paired* ratio (calendar / heap within each sample triple),
+    // Median *paired* ratio (calendar / heap within each sample pair),
     // with the smoke bars widened: 5-sample 2 ms windows gate structure,
     // not 5 %-level perf claims. The disjunction covers throttle noise: a
     // genuinely slower calendar queue would both push the median past the
-    // bar and never win a paired triple.
+    // bar and never win a paired sample.
     let (med_bar, best_bar) = if smoke { (1.25, 1.10) } else { (1.05, 1.00) };
     let mut ratios: Vec<f64> = sample_ns[0]
         .iter()

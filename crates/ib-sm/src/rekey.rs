@@ -2,22 +2,24 @@
 //! the mesh while the replicated key plane rotates the partition secret
 //! underneath them.
 //!
-//! The co-simulation extends `ib_transport::fabric::run_fabric_sim` from
-//! one flow to a fleet, and adds three actors:
+//! It runs on the `ib_transport::cosim` driver — the same stepping loop
+//! as fig_rdma — as a fleet of paced SEND flows plus the replica group
+//! as the driver's [`ControlPlane`], and adds three actors:
 //!
 //! * **SM replicas** ([`SmReplica`]) on the first `replicas` nodes,
 //!   heartbeating and rotating over VL-15 MADs posted through the same
 //!   [`Simulator::post_host`] path the data plane uses. Key updates reach
-//!   each member CA as toy-RSA envelopes; the harness opens them with the
-//!   node's private key and installs the epoch into every endpoint
-//!   resident on that node ([`SecureRcEndpoint::install_epoch`]).
+//!   each member CA as toy-RSA envelopes; the control plane opens them
+//!   with the node's private key and installs the epoch into every
+//!   endpoint resident on that node ([`SecureRcEndpoint::install_epoch`]).
 //! * **A leader-kill fault** — at `kill_leader_at` the current leader
 //!   goes silent; the staggered election elects the next rank, whose
 //!   healing rotation supersedes any partially distributed epoch.
 //!   Recovery is measured from the kill to the instant the new leader's
 //!   distribution is fully acked.
-//! * **A stale-epoch attacker** — captures data packets at one victim
-//!   node and re-injects them after `stale_delay`. Chosen longer than
+//! * **A stale-epoch attacker** — the driver's tap on the first flow's
+//!   responder: it captures data packets there and re-injects them after
+//!   `stale_delay`. Chosen longer than
 //!   `rotation_period + grace`, every re-injection names a retired epoch
 //!   and must be rejected by the epoch layer (counted in
 //!   `rejected_stale_epoch`), never admitted fresh.
@@ -28,25 +30,19 @@
 //! retransmission — so 100% eventual delivery holds through rotations
 //! and failover. Everything is bit-deterministic in `seed`.
 
-use std::collections::VecDeque;
-
-use ib_crypto::toyrsa::{generate_keypair, PrivateKey};
+use ib_crypto::toyrsa::{generate_keypair, PrivateKey, PublicKey};
 use ib_mgmt::{KeyEpoch, SecretKey};
 use ib_packet::mad::Mad;
 use ib_packet::types::{Lid, PKey, Qpn};
-use ib_packet::{Operation, Packet};
+use ib_packet::Packet;
 use ib_runtime::{Json, Seed, ToJson};
 use ib_security::ChannelSecurity;
 use ib_sim::time::{ps_to_us, MS, US};
 use ib_sim::{SimConfig, SimTime, Simulator};
-use ib_transport::{RcConfig, SecureRcEndpoint};
+use ib_transport::{CoSim, ControlPlane, Flow, FlowSpec, RcConfig, RdmaOp, Tap};
 
 use crate::replica::{CaMember, PeerReplica, ReplicaConfig, SmReplica};
-use crate::wire::{mad_packet, parse_mad_packet, SmMessage, MGMT_VL, SM_QPN};
-
-/// After the last flow completes, keep the fabric running this long so
-/// pending stale re-injections still get judged.
-const DRAIN_GRACE: SimTime = MS;
+use crate::wire::{mad_of, mad_packet, SmMessage, MGMT_VL, SM_QPN};
 
 /// The single partition every flow lives in.
 const REKEY_PKEY: PKey = PKey(0x8001);
@@ -331,47 +327,125 @@ impl RekeyReport {
     }
 }
 
-/// Deterministic message payload: 8-byte LE index + patterned fill
-/// (mirrors the transport harness's convention).
-fn payload_for(i: usize, len: usize) -> Vec<u8> {
-    let mut p = vec![0u8; len];
-    p[..8].copy_from_slice(&(i as u64).to_le_bytes());
-    for (k, byte) in p.iter_mut().enumerate().skip(8) {
-        *byte = (i as u8).wrapping_mul(31).wrapping_add(k as u8);
-    }
-    p
+/// The replica group as the driver's control plane: leader-kill fault
+/// injection, MAD exchange, key-update delivery into the endpoints on
+/// each member node, and leadership / recovery observation.
+struct KeyPlane {
+    replicas: Vec<SmReplica>,
+    /// Per-node toy-RSA keypairs key updates are sealed to.
+    node_keys: Vec<(PublicKey, PrivateKey)>,
+    /// Highest epoch any CA node installed.
+    final_epoch: KeyEpoch,
+    mad_out: Vec<(usize, Mad)>,
+    kill_leader_at: SimTime,
+    leader_changes: u64,
+    last_leader: Option<u8>,
+    /// When the leader was killed, and the term it held.
+    killed_at: Option<(SimTime, u64)>,
+    recovered_at: Option<SimTime>,
 }
 
-/// One RC flow: requester `a` on `src`, responder `b` on `dst`.
-struct Flow {
-    src: usize,
-    dst: usize,
-    qpn: Qpn,
-    a: SecureRcEndpoint,
-    b: SecureRcEndpoint,
-    /// Messages posted so far (paced).
-    posted: usize,
-    /// This flow's pacing phase offset.
-    offset: SimTime,
-    seen: Vec<bool>,
-    delivered: u64,
-    duplicates: u64,
-    mismatches: u64,
+/// Post every MAD in `out` from node `from`, draining it.
+fn post_mads(sim: &mut Simulator, from: usize, out: &mut Vec<(usize, Mad)>) {
+    for (dst, mad) in out.drain(..) {
+        let pkt = mad_packet(Lid(from as u16 + 1), Lid(dst as u16 + 1), &mad);
+        sim.post_host(from, dst, MGMT_VL, pkt.to_bytes());
+    }
 }
 
-impl Flow {
-    fn post_at(&self, k: usize, interval: SimTime) -> SimTime {
-        self.offset + interval * k as SimTime
+impl ControlPlane for KeyPlane {
+    fn poll(&mut self, now: SimTime, sim: &mut Simulator) -> Option<SimTime> {
+        if self.kill_leader_at > 0 && self.killed_at.is_none() && now >= self.kill_leader_at {
+            if let Some(l) = self.replicas.iter_mut().find(|r| r.is_leader()) {
+                self.killed_at = Some((now, l.term()));
+                l.kill();
+            }
+        }
+        for r in self.replicas.iter_mut() {
+            r.poll(now, &mut self.mad_out);
+            post_mads(sim, r.node(), &mut self.mad_out);
+        }
+        // Leadership observation + recovery detection.
+        if let Some(l) = self.replicas.iter().find(|r| r.is_leader()) {
+            if self.last_leader.is_some_and(|id| id != l.id()) {
+                self.leader_changes += 1;
+            }
+            self.last_leader = Some(l.id());
+            if self.killed_at.is_some_and(|(_, term)| l.term() > term)
+                && self.recovered_at.is_none()
+                && l.rotations() > 0
+                && l.distribution_complete()
+            {
+                self.recovered_at = Some(now);
+            }
+        }
+        let kill =
+            (self.killed_at.is_none() && self.kill_leader_at > now).then_some(self.kill_leader_at);
+        self.replicas
+            .iter()
+            .filter_map(SmReplica::next_deadline)
+            .chain(kill)
+            .min()
     }
 
-    fn complete_flow(&self, messages: usize) -> bool {
-        self.posted == messages && self.delivered == messages as u64 && self.a.tx_idle()
+    /// Everything addressed to QP0 is management traffic; a MAD that
+    /// decodes is handled, anything else there is dropped.
+    fn consume(
+        &mut self,
+        at: SimTime,
+        node: usize,
+        packet: &Packet,
+        sim: &mut Simulator,
+        flows: &mut [Flow],
+    ) -> bool {
+        if packet.bth.dest_qp != SM_QPN {
+            return false;
+        }
+        let Some((src_node, mad)) = mad_of(packet) else {
+            return true;
+        };
+        if let Some(rep) = self.replicas.get_mut(node) {
+            rep.handle(at, src_node, &mad, &mut self.mad_out);
+            post_mads(sim, node, &mut self.mad_out);
+        } else if let Some(SmMessage::KeyUpdate {
+            pkey,
+            epoch,
+            envelope,
+            ..
+        }) = SmMessage::decode(&mad)
+        {
+            // A member CA: open the envelope and re-key every endpoint
+            // resident on this node, then ack.
+            if let Some(secret) = envelope.open(&self.node_keys[node].1) {
+                for f in flows.iter_mut() {
+                    if f.spec.src == node {
+                        f.a.install_epoch(at, epoch, secret);
+                    }
+                    if f.spec.dst == node {
+                        f.b.install_epoch(at, epoch, secret);
+                    }
+                }
+                self.final_epoch = self.final_epoch.max(epoch);
+                let ack = SmMessage::KeyUpdateAck {
+                    pkey,
+                    epoch,
+                    node: node as u16,
+                };
+                self.mad_out.push((src_node, ack.encode(0)));
+                post_mads(sim, node, &mut self.mad_out);
+            }
+        }
+        true
+    }
+
+    /// For the kill arm, the run also waits out the election + re-key.
+    fn settled(&self) -> bool {
+        self.killed_at.is_none() || self.recovered_at.is_some()
     }
 }
 
 /// Run one fig_rekey point (see module docs).
 pub fn run_rekey_sim(cfg: &RekeyConfig) -> RekeyReport {
-    assert!(cfg.payload_len >= 8, "payload must hold the 8-byte index");
     assert!(
         (1..=8).contains(&cfg.replicas),
         "replica group must be 1..=8"
@@ -383,58 +457,52 @@ pub fn run_rekey_sim(cfg: &RekeyConfig) -> RekeyReport {
 
     let mut sim_cfg = cfg.sim.clone();
     sim_cfg.seed = Seed(cfg.seed);
-    let mut sim = Simulator::new(sim_cfg);
 
     // --- Key material ------------------------------------------------
     // Epoch-0 partition secret, agreed at bring-up; per-node toy-RSA
     // keypairs the SM seals key updates to.
     let secret0 = SecretKey::from_seed(cfg.seed ^ 0x005E_C2E7);
-    let node_keys: Vec<(ib_crypto::toyrsa::PublicKey, PrivateKey)> = (0..nodes)
+    let node_keys: Vec<(PublicKey, PrivateKey)> = (0..nodes)
         .map(|n| generate_keypair(cfg.seed ^ ((n as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))))
         .collect();
 
     // --- Data-plane flows --------------------------------------------
-    let mut flows: Vec<Flow> = (0..cfg.flows)
+    let flows: Vec<Flow> = (0..cfg.flows)
         .map(|i| {
             let src = cfg.replicas + (i % ca_nodes);
             let mut dst = cfg.replicas + ((i + 1 + i / ca_nodes) % ca_nodes);
             if dst == src {
                 dst = cfg.replicas + ((dst - cfg.replicas + 1) % ca_nodes);
             }
-            let qpn = Qpn(REKEY_QPN0 + i as u32);
-            let make = |lid, peer| {
-                let mut ep = SecureRcEndpoint::new(
-                    cfg.security,
-                    REKEY_PKEY,
-                    secret0,
-                    cfg.replay_window,
-                    cfg.rc,
-                    lid,
-                    peer,
-                    qpn,
-                );
-                ep.set_epoch_grace(cfg.grace);
-                ep
-            };
-            let (sl, dl) = (Lid(src as u16 + 1), Lid(dst as u16 + 1));
-            Flow {
+            let spec = FlowSpec {
                 src,
                 dst,
-                qpn,
-                a: make(sl, dl),
-                b: make(dl, sl),
-                posted: 0,
+                qpn: Qpn(REKEY_QPN0 + i as u32),
+                op: RdmaOp::Send,
+                messages: cfg.messages,
+                payload_len: cfg.payload_len,
                 offset: cfg.post_interval * i as SimTime / cfg.flows as SimTime,
-                seen: vec![false; cfg.messages],
-                delivered: 0,
-                duplicates: 0,
-                mismatches: 0,
-            }
+                interval: cfg.post_interval,
+            };
+            let mut f = Flow::new(
+                spec,
+                cfg.security,
+                REKEY_PKEY,
+                secret0,
+                cfg.replay_window,
+                cfg.rc,
+            );
+            f.a.set_epoch_grace(cfg.grace);
+            f.b.set_epoch_grace(cfg.grace);
+            f
         })
         .collect();
 
     // --- SM replica group --------------------------------------------
-    let mut member_nodes: Vec<usize> = flows.iter().flat_map(|f| [f.src, f.dst]).collect();
+    let mut member_nodes: Vec<usize> = flows
+        .iter()
+        .flat_map(|f| [f.spec.src, f.spec.dst])
+        .collect();
     member_nodes.sort_unstable();
     member_nodes.dedup();
     let members: Vec<CaMember> = member_nodes
@@ -444,7 +512,7 @@ pub fn run_rekey_sim(cfg: &RekeyConfig) -> RekeyReport {
             pubkey: node_keys[n].0,
         })
         .collect();
-    let mut replicas: Vec<SmReplica> = (0..cfg.replicas)
+    let replicas: Vec<SmReplica> = (0..cfg.replicas)
         .map(|id| {
             let peers = (0..cfg.replicas)
                 .filter(|&p| p != id)
@@ -467,337 +535,86 @@ pub fn run_rekey_sim(cfg: &RekeyConfig) -> RekeyReport {
         })
         .collect();
 
-    // --- Attacker ----------------------------------------------------
-    let victim = flows[0].dst;
-    let victim_qpn = flows[0].qpn;
-    let attack_node = (cfg.replicas..nodes)
-        .find(|&n| n != victim && n != flows[0].src)
-        .unwrap_or(flows[0].src);
+    // --- Attacker: taps the first flow at its responder ---------------
+    let victim = flows[0].spec;
+    let tap = Tap {
+        from: (cfg.replicas..nodes)
+            .find(|&n| n != victim.dst && n != victim.src)
+            .unwrap_or(victim.src),
+        every: cfg.stale_every,
+        delay: cfg.stale_delay,
+    };
 
-    // --- Co-simulation loop ------------------------------------------
-    let mut pending: VecDeque<(SimTime, Vec<u8>)> = VecDeque::new();
-    let mut mad_out: Vec<(usize, Mad)> = Vec::new();
-    let mut wire: Vec<Vec<u8>> = Vec::new();
-    let mut node_epoch: Vec<KeyEpoch> = vec![KeyEpoch::ZERO; nodes];
-    let mut buckets: Vec<u64> = Vec::new();
-    let mut captured = 0u64;
-    let mut stale_injected = 0u64;
-    let mut leader_kills = 0u64;
-    let mut leader_changes = 0u64;
-    let mut last_leader: Option<u8> = None;
-    let mut killed_at: Option<SimTime> = None;
-    let mut term_at_kill = 0u64;
-    let mut recovered_at: Option<SimTime> = None;
-    let mut now: SimTime = 0;
-    let mut done_at: Option<SimTime> = None;
-    let mut timed_out = false;
-
-    loop {
-        // Leader-kill fault injection.
-        if cfg.kill_leader_at > 0 && killed_at.is_none() && now >= cfg.kill_leader_at {
-            if let Some(l) = replicas.iter_mut().find(|r| r.is_leader()) {
-                term_at_kill = l.term();
-                l.kill();
-                leader_kills += 1;
-                killed_at = Some(now);
-            }
-        }
-        // Stale re-injections that have come due.
-        while pending.front().is_some_and(|(t, _)| *t <= now) {
-            let (_, bytes) = pending.pop_front().unwrap();
-            stale_injected += 1;
-            sim.post_host(attack_node, victim, cfg.vl, bytes);
-        }
-        // Paced posting.
-        for f in flows.iter_mut() {
-            while f.posted < cfg.messages && now >= f.post_at(f.posted, cfg.post_interval) {
-                f.a.post(payload_for(f.posted, cfg.payload_len));
-                f.posted += 1;
-            }
-        }
-        // SM plane speaks at `now`.
-        for r in replicas.iter_mut() {
-            r.poll(now, &mut mad_out);
-            let src = r.node();
-            for (dst, mad) in mad_out.drain(..) {
-                let pkt = mad_packet(Lid(src as u16 + 1), Lid(dst as u16 + 1), &mad);
-                sim.post_host(src, dst, MGMT_VL, pkt.to_bytes());
-            }
-        }
-        // Data plane speaks at `now`.
-        for f in flows.iter_mut() {
-            f.a.poll_into(now, &mut wire);
-            for bytes in wire.drain(..) {
-                sim.post_host(f.src, f.dst, cfg.vl, bytes);
-            }
-            f.b.poll_into(now, &mut wire);
-            for bytes in wire.drain(..) {
-                sim.post_host(f.dst, f.src, cfg.vl, bytes);
-            }
-        }
-
-        // Leadership observation + recovery detection.
-        let leader_now = replicas.iter().find(|r| r.is_leader());
-        if let Some(l) = leader_now {
-            if last_leader != Some(l.id()) {
-                if last_leader.is_some() {
-                    leader_changes += 1;
-                }
-                last_leader = Some(l.id());
-            }
-            if killed_at.is_some()
-                && recovered_at.is_none()
-                && l.term() > term_at_kill
-                && l.rotations() > 0
-                && l.distribution_complete()
-            {
-                recovered_at = Some(now);
-            }
-        }
-
-        if done_at.is_none() && flows.iter().all(|f| f.complete_flow(cfg.messages)) {
-            done_at = Some(now);
-        }
-        if flows.iter().any(|f| f.a.failed() || f.b.failed()) {
-            break;
-        }
-        if now >= cfg.max_sim_time {
-            timed_out = done_at.is_none();
-            break;
-        }
-        if let Some(done) = done_at {
-            let drain_until = done + cfg.stale_delay + DRAIN_GRACE;
-            // For the kill arm, also wait out the election + re-key.
-            let recovered = killed_at.is_none() || recovered_at.is_some();
-            if now >= drain_until && pending.is_empty() && recovered {
-                break;
-            }
-        }
-
-        // Next interesting instant: endpoint deadlines, pacing, replica
-        // timers, attacker due times, the kill, or the drain horizon.
-        let mut target = cfg.max_sim_time;
-        for f in &flows {
-            if let Some(d) = f.a.next_deadline() {
-                target = target.min(d);
-            }
-            if let Some(d) = f.b.next_deadline() {
-                target = target.min(d);
-            }
-            if f.posted < cfg.messages {
-                target = target.min(f.post_at(f.posted, cfg.post_interval));
-            }
-        }
-        for r in &replicas {
-            if let Some(d) = r.next_deadline() {
-                target = target.min(d);
-            }
-        }
-        if let Some((t, _)) = pending.front() {
-            target = target.min(*t);
-        }
-        if cfg.kill_leader_at > now && killed_at.is_none() {
-            target = target.min(cfg.kill_leader_at);
-        }
-        if let Some(done) = done_at {
-            let drain_until = done + cfg.stale_delay + DRAIN_GRACE;
-            // Only a future horizon is a scheduling target; a past one
-            // (waiting on recovery) must not collapse the step to 1 ps.
-            if drain_until > now {
-                target = target.min(drain_until);
-            }
-        }
-        let target = target.max(now + 1);
-        let t = sim.run_hosts_until(target);
-
-        while let Some(d) = sim.take_host_delivery() {
-            // Management plane: MADs to QP0.
-            if let Some((src_node, mad)) = parse_mad_packet(&d.bytes) {
-                if d.node < cfg.replicas {
-                    let rep = &mut replicas[d.node];
-                    rep.handle(d.at, src_node, &mad, &mut mad_out);
-                    let from = rep.node();
-                    for (dst, out_mad) in mad_out.drain(..) {
-                        let pkt = mad_packet(Lid(from as u16 + 1), Lid(dst as u16 + 1), &out_mad);
-                        sim.post_host(from, dst, MGMT_VL, pkt.to_bytes());
-                    }
-                } else if let Some(SmMessage::KeyUpdate {
-                    pkey,
-                    epoch,
-                    envelope,
-                    ..
-                }) = SmMessage::decode(&mad)
-                {
-                    // A member CA: open the envelope and re-key every
-                    // endpoint resident on this node, then ack.
-                    if let Some(secret) = envelope.open(&node_keys[d.node].1) {
-                        for f in flows.iter_mut() {
-                            if f.src == d.node {
-                                f.a.install_epoch(d.at, epoch, secret);
-                            }
-                            if f.dst == d.node {
-                                f.b.install_epoch(d.at, epoch, secret);
-                            }
-                        }
-                        node_epoch[d.node] = node_epoch[d.node].max(epoch);
-                        let ack = SmMessage::KeyUpdateAck {
-                            pkey,
-                            epoch,
-                            node: d.node as u16,
-                        };
-                        let pkt = mad_packet(
-                            Lid(d.node as u16 + 1),
-                            Lid(src_node as u16 + 1),
-                            &ack.encode(0),
-                        );
-                        sim.post_host(d.node, src_node, MGMT_VL, pkt.to_bytes());
-                    }
-                }
-                continue;
-            }
-            // Data plane: dispatch by (node, QPN).
-            let Ok(pkt) = Packet::parse(&d.bytes) else {
-                // Corrupted in flight; the owning endpoint's parse would
-                // also drop it, so account nowhere and move on.
-                continue;
-            };
-            if pkt.bth.dest_qp == SM_QPN {
-                continue;
-            }
-            // Attacker tap at the victim HCA: capture clean data packets.
-            if cfg.stale_every > 0
-                && d.node == victim
-                && pkt.bth.dest_qp == victim_qpn
-                && pkt.bth.opcode.operation != Operation::Acknowledge
-            {
-                captured += 1;
-                if captured.is_multiple_of(cfg.stale_every) {
-                    pending.push_back((d.at + cfg.stale_delay, d.bytes.clone()));
-                }
-            }
-            for f in flows.iter_mut() {
-                if f.qpn != pkt.bth.dest_qp {
-                    continue;
-                }
-                if f.dst == d.node {
-                    f.b.handle_wire(d.at, &d.bytes);
-                    for payload in f.b.take_delivered() {
-                        let idx = u64::from_le_bytes(payload[..8].try_into().unwrap()) as usize;
-                        if idx >= f.seen.len() || payload != payload_for(idx, cfg.payload_len) {
-                            f.mismatches += 1;
-                        } else if f.seen[idx] {
-                            f.duplicates += 1;
-                        } else {
-                            f.seen[idx] = true;
-                            f.delivered += 1;
-                            let slot = (d.at / cfg.bucket) as usize;
-                            if buckets.len() <= slot {
-                                buckets.resize(slot + 1, 0);
-                            }
-                            buckets[slot] += 1;
-                        }
-                    }
-                } else if f.src == d.node {
-                    f.a.handle_wire(d.at, &d.bytes);
-                }
-                break;
-            }
-        }
-        now = t;
+    let mut plane = KeyPlane {
+        replicas,
+        node_keys,
+        final_epoch: KeyEpoch::ZERO,
+        mad_out: Vec::new(),
+        kill_leader_at: cfg.kill_leader_at,
+        leader_changes: 0,
+        last_leader: None,
+        killed_at: None,
+        recovered_at: None,
+    };
+    let r = CoSim {
+        sim: Simulator::new(sim_cfg),
+        flows,
+        vl: cfg.vl,
+        tap,
+        bucket: cfg.bucket,
+        max_sim_time: cfg.max_sim_time,
     }
+    .run(&mut plane);
 
     // --- Report ------------------------------------------------------
-    let completion_ps = done_at.unwrap_or(now).max(1);
-    let delivered: u64 = flows.iter().map(|f| f.delivered).sum();
-    let bits = (delivered * cfg.payload_len as u64 * 8) as f64;
-    let interior = if buckets.len() >= 4 {
-        &buckets[1..buckets.len() - 1]
+    let interior = if r.buckets.len() >= 4 {
+        &r.buckets[1..r.buckets.len() - 1]
     } else {
-        &buckets[..]
+        &r.buckets[..]
     };
-    let goodput_dip_frac = if interior.is_empty() {
-        1.0
-    } else {
-        let mean = interior.iter().sum::<u64>() as f64 / interior.len() as f64;
-        if mean > 0.0 {
-            *interior.iter().min().unwrap() as f64 / mean
-        } else {
-            1.0
-        }
+    // min/mean over the interior; an empty or all-zero interior has no dip.
+    let mean = interior.iter().sum::<u64>() as f64 / interior.len() as f64;
+    let goodput_dip_frac = match interior.iter().min() {
+        Some(&min) if mean > 0.0 => min as f64 / mean,
+        _ => 1.0,
     };
-    let mut ch = ib_security::channel::ChannelStats::default();
-    let mut stale_admitted = 0u64;
-    let mut retransmits = 0u64;
-    let mut dup_delivered = 0u64;
-    let mut mismatches = 0u64;
-    for f in &flows {
-        for s in [f.a.channel().stats, f.b.channel().stats] {
-            ch.rejected_auth += s.rejected_auth;
-            ch.rejected_stale += s.rejected_stale;
-            ch.rejected_stale_epoch += s.rejected_stale_epoch;
-            ch.rejected_future_epoch += s.rejected_future_epoch;
-        }
-        stale_admitted += f.b.stats.dup_admitted_fresh + f.duplicates;
-        retransmits += f.a.retransmits();
-        dup_delivered += f.duplicates;
-        mismatches += f.mismatches;
-    }
-    let dup_suppressed: u64 = flows
-        .iter()
-        .map(|f| f.a.stats.dup_suppressed + f.b.stats.dup_suppressed)
-        .sum();
-    let mut rotations = 0u64;
-    let mut key_updates_tx = 0u64;
-    let mut key_update_acks_rx = 0u64;
-    let mut replicates_tx = 0u64;
-    let mut heartbeats_tx = 0u64;
-    let mut claims_tx = 0u64;
-    let mut takeovers = 0u64;
-    for r in &replicas {
-        rotations += r.stats.rotations;
-        key_updates_tx += r.stats.key_updates_tx;
-        key_update_acks_rx += r.stats.key_update_acks_rx;
-        replicates_tx += r.stats.replicates_tx;
-        heartbeats_tx += r.stats.heartbeats_tx;
-        claims_tx += r.stats.claims_tx;
-        takeovers += r.stats.takeovers;
-    }
+    let sum = |f: fn(&SmReplica) -> u64| plane.replicas.iter().map(f).sum::<u64>();
     RekeyReport {
-        delivered,
+        delivered: r.sum(|f| f.ledger.delivered),
         expected: (cfg.flows * cfg.messages) as u64,
-        failed: flows.iter().any(|f| f.a.failed() || f.b.failed()),
-        timed_out,
-        completion_us: ps_to_us(completion_ps),
-        goodput_gbps: bits / (completion_ps as f64 * 1e-12) / 1e9,
-        rotations,
-        final_epoch: u64::from(node_epoch.iter().max().copied().unwrap_or(KeyEpoch::ZERO).0),
-        key_updates_tx,
-        key_update_acks_rx,
-        replicates_tx,
-        heartbeats_tx,
-        claims_tx,
-        takeovers,
-        leader_kills,
-        leader_changes,
-        time_to_recover_us: match (killed_at, recovered_at) {
-            (Some(k), Some(r)) => ps_to_us(r.saturating_sub(k)),
+        failed: r.flows.iter().any(Flow::failed),
+        timed_out: r.timed_out,
+        completion_us: ps_to_us(r.completion_ps),
+        goodput_gbps: r.goodput_gbps,
+        rotations: sum(|r| r.stats.rotations),
+        final_epoch: u64::from(plane.final_epoch.0),
+        key_updates_tx: sum(|r| r.stats.key_updates_tx),
+        key_update_acks_rx: sum(|r| r.stats.key_update_acks_rx),
+        replicates_tx: sum(|r| r.stats.replicates_tx),
+        heartbeats_tx: sum(|r| r.stats.heartbeats_tx),
+        claims_tx: sum(|r| r.stats.claims_tx),
+        takeovers: sum(|r| r.stats.takeovers),
+        leader_kills: u64::from(plane.killed_at.is_some()),
+        leader_changes: plane.leader_changes,
+        time_to_recover_us: match (plane.killed_at, plane.recovered_at) {
+            (Some((k, _)), Some(rec)) => ps_to_us(rec.saturating_sub(k)),
             _ => 0.0,
         },
-        buckets,
         bucket_us: ps_to_us(cfg.bucket),
         goodput_dip_frac,
-        stale_injected,
-        stale_admitted,
-        rejected_stale_epoch: ch.rejected_stale_epoch,
-        rejected_future_epoch: ch.rejected_future_epoch,
-        rejected_auth: ch.rejected_auth,
-        rejected_stale_psn: ch.rejected_stale,
-        dup_suppressed,
-        retransmits,
-        payload_mismatches: mismatches,
-        duplicates_delivered: dup_delivered,
-        mgmt_delivered: sim.stats().mgmt_delivered,
-        fabric_generated: sim.stats().generated,
+        buckets: r.buckets.clone(),
+        stale_injected: r.injected,
+        stale_admitted: r.sum(|f| f.b.stats.dup_admitted_fresh + f.ledger.duplicates),
+        rejected_stale_epoch: r.both(|e| e.channel().stats.rejected_stale_epoch),
+        rejected_future_epoch: r.both(|e| e.channel().stats.rejected_future_epoch),
+        rejected_auth: r.both(|e| e.channel().stats.rejected_auth),
+        rejected_stale_psn: r.both(|e| e.channel().stats.rejected_stale),
+        dup_suppressed: r.both(|e| e.stats.dup_suppressed),
+        retransmits: r.sum(|f| f.a.retransmits()),
+        payload_mismatches: r.sum(|f| f.ledger.mismatches),
+        duplicates_delivered: r.sum(|f| f.ledger.duplicates),
+        mgmt_delivered: r.fabric.mgmt_delivered,
+        fabric_generated: r.fabric.generated,
     }
 }
 

@@ -228,7 +228,11 @@ pub fn mad_packet(src: Lid, dst: Lid, mad: &Mad) -> Packet {
 /// payload parses as a MAD. Returns the sender's node index (SLID − 1)
 /// and the MAD.
 pub fn parse_mad_packet(bytes: &[u8]) -> Option<(usize, Mad)> {
-    let p = Packet::parse(bytes).ok()?;
+    mad_of(&Packet::parse(bytes).ok()?)
+}
+
+/// [`parse_mad_packet`] for an already-parsed packet.
+pub(crate) fn mad_of(p: &Packet) -> Option<(usize, Mad)> {
     if p.bth.dest_qp != SM_QPN {
         return None;
     }

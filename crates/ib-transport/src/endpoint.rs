@@ -425,13 +425,20 @@ impl SecureRcEndpoint {
 
     /// Process one arriving wire buffer.
     pub fn handle_wire(&mut self, now: SimTime, bytes: &[u8]) {
+        match Packet::parse(bytes) {
+            Ok(packet) => self.handle_packet(now, &packet),
+            Err(_) => {
+                self.channel.advance_time(now);
+                self.stats.parse_drops += 1;
+            }
+        }
+    }
+
+    /// [`Self::handle_wire`] for a delivery the caller already parsed.
+    pub(crate) fn handle_packet(&mut self, now: SimTime, packet: &Packet) {
         self.channel.advance_time(now);
-        let Ok(packet) = Packet::parse(bytes) else {
-            self.stats.parse_drops += 1;
-            return;
-        };
-        let pre = self.channel.precheck(&packet);
-        self.dispatch(now, &packet, pre);
+        let pre = self.channel.precheck(packet);
+        self.dispatch(now, packet, pre);
     }
 
     /// Process a batch of arriving wire buffers, then collect outbound

@@ -23,11 +23,15 @@
 //!   captured data packets; produces the fig_replay metrics (goodput,
 //!   delivery latency, retransmits, replays admitted). Kept as the
 //!   point-to-point determinism oracle.
-//! * [`fabric`] — the same endpoints attached to HCAs of a full
-//!   [`ib_sim::Simulator`] mesh: wire buffers ride real VL arbitration,
-//!   credits, per-link faults and Figure-5 attack traffic, so the
-//!   retransmission and replay machinery is measured under congestion
-//!   (the fig_rdma experiment: SEND / RDMA WRITE / RDMA READ).
+//! * [`cosim`] — the co-simulation driver: the one stepping loop that
+//!   runs a fleet of RC flows, a capture-and-replay tap and an optional
+//!   control plane ([`cosim::ControlPlane`]) over a full
+//!   [`ib_sim::Simulator`] fabric, with one completion ledger and one
+//!   stats roll-up.
+//! * [`fabric`] — one flow on that driver: wire buffers ride real VL
+//!   arbitration, credits, per-link faults and Figure-5 attack traffic,
+//!   so the retransmission and replay machinery is measured under
+//!   congestion (the fig_rdma experiment: SEND / RDMA WRITE / RDMA READ).
 //! * [`config`] — [`config::RcConfig`] knobs with JSON round-tripping.
 //!
 //! The invariant that keeps retransmission and replay defense compatible:
@@ -36,12 +40,14 @@
 //! judgeable ([`ib_security::ReplayVerdict::Fresh`]) when it lands.
 
 pub mod config;
+pub mod cosim;
 pub mod endpoint;
 pub mod fabric;
 pub mod qp;
 pub mod sim;
 
 pub use config::{RcConfig, RetransmitMode};
+pub use cosim::{CoSim, CoSimReport, ControlPlane, Flow, FlowSpec, Ledger, Tap};
 pub use endpoint::{EndpointStats, SecureRcEndpoint};
 pub use fabric::{run_fabric_sim, FabricReport, FabricSimConfig, RdmaOp};
 pub use qp::{RcQp, RxClass, RxReply, TxItem};

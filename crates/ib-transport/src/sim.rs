@@ -26,6 +26,7 @@ use ib_sim::time::{ps_to_us, tx_time_ps, MS, NS, US};
 use ib_sim::{FaultConfig, FaultInjector, OnlineStats, SimTime};
 
 use crate::config::RcConfig;
+use crate::cosim::{payload_for, Ledger};
 use crate::endpoint::SecureRcEndpoint;
 
 /// Everything one fig_replay point needs to reproduce itself.
@@ -248,11 +249,8 @@ struct Sim<'a> {
     /// Reused scratch for each pump's wire buffers (the buffers inside
     /// cycle through the endpoints' recycle pools).
     wire_out: Vec<Vec<u8>>,
-    seen: Vec<bool>,
-    post_time: Vec<SimTime>,
-    latency: OnlineStats,
-    delivered_unique: u64,
-    duplicates_delivered: u64,
+    /// Endpoint 1's completions.
+    ledger: Ledger,
     replays_injected: u64,
     replays_admitted: u64,
     link_drops: u64,
@@ -337,31 +335,10 @@ impl Sim<'_> {
         }
     }
 
-    /// Drain endpoint 1's delivered messages into the uniqueness ledger.
+    /// Drain endpoint 1's delivered messages into the ledger.
     fn drain_rx(&mut self, now: SimTime) {
-        for payload in self.eps[1].take_delivered() {
-            let idx = u64::from_le_bytes(payload[..8].try_into().unwrap()) as usize;
-            assert!(idx < self.seen.len(), "payload index out of range");
-            if self.seen[idx] {
-                self.duplicates_delivered += 1;
-            } else {
-                self.seen[idx] = true;
-                self.delivered_unique += 1;
-                self.latency.push(ps_to_us(now - self.post_time[idx]));
-            }
-        }
+        self.ledger.drain(&mut self.eps[1], now);
     }
-}
-
-/// Deterministic payload for message `i`: 8-byte index then a repeating
-/// pattern derived from it.
-pub(crate) fn payload_for(i: usize, len: usize) -> Vec<u8> {
-    let mut p = vec![0u8; len.max(8)];
-    p[..8].copy_from_slice(&(i as u64).to_le_bytes());
-    for (k, b) in p.iter_mut().enumerate().skip(8) {
-        *b = (i as u8).wrapping_mul(31).wrapping_add(k as u8);
-    }
-    p
 }
 
 /// Run one fig_replay point to completion (all messages delivered and
@@ -399,11 +376,7 @@ pub fn run_replay_sim(cfg: &ReplaySimConfig) -> ReplayReport {
         next_wake: [None; 2],
         captured: 0,
         wire_out: Vec::new(),
-        seen: vec![false; cfg.messages],
-        post_time: vec![0; cfg.messages],
-        latency: OnlineStats::new(),
-        delivered_unique: 0,
-        duplicates_delivered: 0,
+        ledger: Ledger::new(cfg.messages, cfg.payload_len),
         replays_injected: 0,
         replays_admitted: 0,
         link_drops: 0,
@@ -449,7 +422,7 @@ pub fn run_replay_sim(cfg: &ReplaySimConfig) -> ReplayReport {
         if sim.eps[0].failed() {
             break;
         }
-        if sim.delivered_unique == cfg.messages as u64 && sim.eps[0].tx_idle() {
+        if sim.ledger.delivered == cfg.messages as u64 && sim.eps[0].tx_idle() {
             break;
         }
     }
@@ -470,21 +443,21 @@ pub fn run_replay_sim(cfg: &ReplaySimConfig) -> ReplayReport {
     }
 
     let completion_ps = now.max(1);
-    let bits = (sim.delivered_unique * cfg.payload_len as u64 * 8) as f64;
+    let bits = (sim.ledger.delivered * cfg.payload_len as u64 * 8) as f64;
     let rx_channel = sim.eps[1].channel().stats;
     let tx_channel = sim.eps[0].channel().stats;
     ReplayReport {
-        delivered: sim.delivered_unique,
+        delivered: sim.ledger.delivered,
         expected: cfg.messages as u64,
         failed: sim.eps[0].failed(),
         timed_out,
         completion_us: ps_to_us(completion_ps),
         goodput_gbps: bits / (completion_ps as f64 * 1e-12) / 1e9,
-        latency_us: sim.latency,
+        latency_us: sim.ledger.latency,
         retransmits: sim.eps[0].retransmits(),
         replays_injected: sim.replays_injected,
         replays_admitted: sim.replays_admitted,
-        duplicates_delivered: sim.duplicates_delivered,
+        duplicates_delivered: sim.ledger.duplicates,
         dup_suppressed: sim.eps[1].stats.dup_suppressed,
         link_drops: sim.link_drops,
         corrupt_drops: sim.eps[0].stats.parse_drops + sim.eps[1].stats.parse_drops,

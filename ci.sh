@@ -16,10 +16,11 @@ cargo fmt --check
 echo "== clippy =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-# Golden legs: each co-simulation figure's --smoke JSON is its behavioural
-# contract. The run-vs-run diffs only catch nondeterminism; the diffs
-# against tests/golden/*_smoke.json also catch a deterministic behaviour
-# change. A deliberate change regenerates the golden in the same commit.
+# Golden legs: the --smoke JSON of fig1 and of each co-simulation figure
+# is its behavioural contract. The run-vs-run diffs only catch
+# nondeterminism; the diffs against tests/golden/*_smoke.json also catch a
+# deterministic behaviour change. A deliberate change regenerates the
+# golden in the same commit.
 echo "== fig_replay smoke (twice: results must be byte-identical) =="
 cargo run -q --release --offline -p bench --bin fig_replay -- --smoke
 mv BENCH_fig_replay.json BENCH_fig_replay.first.json
@@ -63,6 +64,8 @@ mv BENCH_fig1.json BENCH_fig1.first.json
 cargo run -q --release --offline -p bench --bin fig1 -- --smoke
 diff BENCH_fig1.first.json BENCH_fig1.json
 rm BENCH_fig1.first.json
+echo "== fig1 smoke vs golden (behaviour pinned to tests/golden) =="
+diff tests/golden/fig1_smoke.json BENCH_fig1.json
 
 echo "== fig_rdma smoke (twice: results must be byte-identical) =="
 # The transport-over-fabric gate: SEND / RDMA WRITE / RDMA READ across

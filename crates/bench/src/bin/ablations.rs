@@ -11,7 +11,7 @@
 //!
 //! Usage: `ablations [--quick] [--only N] [--seed S]`
 
-use bench::{arg_value, measure_throughput, render_table, seed_arg};
+use bench::{measure_throughput, parse_arg, render_table, seed_arg};
 use ib_crypto::partial_mac::PartialMac;
 use ib_crypto::umac::Umac;
 use ib_mgmt::enforcement::EnforcementKind;
@@ -290,7 +290,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let seeds = if quick { 2 } else { 3 };
-    let only: Option<u32> = arg_value(&args, "--only").and_then(|v| v.parse().ok());
+    let only: Option<u32> = parse_arg(&args, "--only");
     let seed = seed_arg(&args);
 
     println!("Ablation studies (seed {seed})\n");

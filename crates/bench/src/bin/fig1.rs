@@ -9,7 +9,7 @@
 //! Usage: `fig1 [--quick|--smoke] [--max-attackers N] [--seeds K] [--seed S]`
 //! (`--smoke` is an alias for `--quick`, matching the other gated binaries).
 
-use bench::{arg_value, bench_doc, render_table, seed_arg, write_bench_json};
+use bench::{bench_doc, parse_arg, render_table, seed_arg, write_bench_json};
 use ib_runtime::{Json, ToJson};
 use ib_security::experiments::{fig1_config, run_grid_seed_averaged, Fig1Row, DEFAULT_SEEDS};
 use ib_sim::time::{MS, US};
@@ -17,14 +17,11 @@ use ib_sim::time::{MS, US};
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick" || a == "--smoke");
-    let max: usize = arg_value(&args, "--max-attackers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let max: usize = parse_arg(&args, "--max-attackers").unwrap_or(4);
     // Figure 1 is the cheapest sweep, so it affords extra seeds — attacker
     // placement dominates the variance of the middle points.
-    let seeds: u64 = arg_value(&args, "--seeds")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick { 6 } else { DEFAULT_SEEDS + 4 });
+    let seeds: u64 =
+        parse_arg(&args, "--seeds").unwrap_or(if quick { 6 } else { DEFAULT_SEEDS + 4 });
     let seed = seed_arg(&args);
 
     // Build the whole grid up front, then let the flattened (point × seed)

@@ -9,7 +9,7 @@
 //! (`--smoke` is an alias for `--quick`, matching the other gated binaries).
 //! (`--all-modes` adds the partition-level ablation row).
 
-use bench::{arg_value, bench_doc, render_table, seed_arg, write_bench_json};
+use bench::{bench_doc, parse_arg, render_table, seed_arg, write_bench_json};
 use ib_runtime::{Json, ToJson};
 use ib_security::experiments::{
     fig6_config, run_grid_seed_averaged, Fig6Row, DEFAULT_SEEDS, FIG5_LOADS,
@@ -25,9 +25,7 @@ fn main() {
     } else {
         &[AuthMode::None, AuthMode::QpLevel]
     };
-    let seeds: u64 = arg_value(&args, "--seeds")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick { 2 } else { DEFAULT_SEEDS });
+    let seeds: u64 = parse_arg(&args, "--seeds").unwrap_or(if quick { 2 } else { DEFAULT_SEEDS });
     let seed = seed_arg(&args);
 
     // One flattened (load × mode × seed) work list for the sharded runner.

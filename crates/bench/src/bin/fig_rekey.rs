@@ -13,7 +13,7 @@
 //!
 //! Usage: `fig_rekey [--smoke] [--flows N] [--seed S]`
 
-use bench::{arg_value, bench_doc, render_table, seed_arg, write_bench_json};
+use bench::{bench_doc, parse_arg, render_table, seed_arg, write_bench_json};
 use ib_runtime::{Json, ToJson};
 use ib_sim::time::{MS, US};
 use ib_sim::SimTime;
@@ -119,9 +119,7 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke" || a == "--quick");
     // Each flow is a requester/responder QP pair: the full run drives
     // 1024 QPs of RC traffic through the rotating key plane.
-    let flows: usize = arg_value(&args, "--flows")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 48 } else { 512 });
+    let flows: usize = parse_arg(&args, "--flows").unwrap_or(if smoke { 48 } else { 512 });
     let seed = seed_arg(&args);
 
     let swept = arms(smoke);

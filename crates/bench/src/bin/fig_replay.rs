@@ -12,17 +12,15 @@
 //!
 //! * **p2p** — the original point-to-point harness
 //!   ([`ib_transport::sim`]), kept as the determinism oracle: its
-//!   per-point reports are byte-diffed against a pre-refactor golden
-//!   capture (`tests/golden/fig_replay_oracle_pre_refactor.json`) when
-//!   the seed and message count match, proving the transport/fabric
-//!   refactor did not perturb the oracle path.
+//!   per-point reports are part of the `--smoke` output that
+//!   `tests/golden/fig_replay_smoke.json` pins byte for byte.
 //! * **mesh** — the same endpoints attached to HCAs of the 16-node
 //!   [`ib_sim`] fabric ([`ib_transport::fabric`]), where replays ride
 //!   real VL arbitration and per-link faults.
 //!
 //! Usage: `fig_replay [--smoke] [--messages N] [--seed S]`
 
-use bench::{arg_value, bench_doc, render_table, seed_arg, write_bench_json};
+use bench::{bench_doc, parse_arg, render_table, seed_arg, write_bench_json};
 use ib_runtime::{Json, ToJson};
 use ib_security::ChannelSecurity;
 use ib_sim::time::MS;
@@ -34,14 +32,6 @@ use ib_transport::{
 
 /// Link loss probabilities swept on the x-axis (0–5%).
 const LOSSES: [f64; 5] = [0.0, 0.005, 0.01, 0.02, 0.05];
-
-/// Pre-refactor capture of the point-to-point arm (same seed, smoke
-/// message count). Resolved relative to the crate so the check works
-/// from any working directory.
-const GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../tests/golden/fig_replay_oracle_pre_refactor.json"
-);
 
 fn config_for(seed: u64, messages: usize, loss: f64, security: ChannelSecurity) -> ReplaySimConfig {
     ReplaySimConfig {
@@ -72,53 +62,10 @@ fn mesh_config_for(
     cfg
 }
 
-/// Byte-diff the freshly-run p2p reports against the pre-refactor golden
-/// capture. Only the per-point `report` objects are compared: the config
-/// schema legitimately grew (`rc` gained MTU/retransmit knobs) but the
-/// oracle's *behavior* must be bit-identical at the golden's seed.
-fn check_golden(seed: u64, messages: usize, points: &[(f64, ChannelSecurity, ReplayReport)]) {
-    let Ok(text) = std::fs::read_to_string(GOLDEN_PATH) else {
-        println!("golden oracle check: capture not found, skipped");
-        return;
-    };
-    let golden = Json::parse(&text).expect("golden capture parses");
-    let g_seed = golden.get("seed").and_then(Json::as_u64);
-    let g_messages = golden
-        .get("config")
-        .and_then(|c| c.get("messages"))
-        .and_then(Json::as_u64);
-    if g_seed != Some(seed) || g_messages != Some(messages as u64) {
-        println!(
-            "golden oracle check: skipped (captured at seed {:?}, {:?} messages)",
-            g_seed, g_messages
-        );
-        return;
-    }
-    let g_points = golden.get("points").and_then(Json::as_arr).expect("points");
-    assert_eq!(g_points.len(), points.len(), "golden point count");
-    for (g, (loss, arm, r)) in g_points.iter().zip(points) {
-        let want = g.get("report").expect("golden report").to_string();
-        let got = r.to_json().to_string();
-        assert_eq!(
-            want,
-            got,
-            "p2p oracle diverged from pre-refactor capture at {}% / {}",
-            loss * 100.0,
-            arm.label()
-        );
-    }
-    println!(
-        "golden oracle check: {} p2p reports byte-identical to the pre-refactor capture",
-        g_points.len()
-    );
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke" || a == "--quick");
-    let messages: usize = arg_value(&args, "--messages")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 60 } else { 300 });
+    let messages: usize = parse_arg(&args, "--messages").unwrap_or(if smoke { 60 } else { 300 });
     let seed = seed_arg(&args);
 
     let mut points: Vec<(f64, ChannelSecurity, ReplayReport)> = Vec::new();
@@ -268,9 +215,6 @@ fn main() {
         "identical output across two same-seed runs"
     );
 
-    // The refactor proof: the oracle path still produces the pre-refactor
-    // bytes at the golden's seed.
-    check_golden(seed.0, messages, &points);
     println!("OK: 100% delivery on every arm; zero admitted replays with the window.");
 
     let doc = bench_doc(

@@ -102,12 +102,24 @@ pub fn write_bench_json(name: &str, doc: &Json) -> std::io::Result<std::path::Pa
 }
 
 /// Parse `--flag value` style arguments; returns the value following the
-/// flag, if present.
+/// flag, or `None` if the flag is absent. Panics, naming the flag, when
+/// the flag is the last argument: a run must not silently fall back to
+/// the default the user meant to override.
 pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    let i = args.iter().position(|a| a == flag)?;
+    let v = args
+        .get(i + 1)
+        .unwrap_or_else(|| panic!("{flag} needs a value"));
+    Some(v.clone())
+}
+
+/// [`arg_value`] parsed as a `T`; `None` if the flag is absent. Panics,
+/// naming the flag, when the value is missing or does not parse.
+pub fn parse_arg<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    arg_value(args, flag).map(|v| {
+        v.parse()
+            .unwrap_or_else(|_| panic!("{flag} {v:?} is not a valid value"))
+    })
 }
 
 /// Parse a `--seed <u64>` argument (decimal or `0x`-prefixed hex). Falls
@@ -154,8 +166,29 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert_eq!(arg_value(&args, "--load"), Some("0.5".into()));
-        assert_eq!(arg_value(&args, "--quick"), None);
+        assert_eq!(parse_arg::<f64>(&args, "--load"), Some(0.5));
         assert_eq!(arg_value(&args, "--missing"), None);
+        assert_eq!(parse_arg::<u64>(&args, "--missing"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "--quick needs a value")]
+    fn arg_value_panics_on_missing_value() {
+        let args: Vec<String> = ["prog", "--load", "0.5", "--quick"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        arg_value(&args, "--quick");
+    }
+
+    #[test]
+    #[should_panic(expected = r#"--seeds "abc" is not a valid value"#)]
+    fn parse_arg_panics_on_bad_value() {
+        let args: Vec<String> = ["prog", "--seeds", "abc"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        parse_arg::<u64>(&args, "--seeds");
     }
 
     #[test]

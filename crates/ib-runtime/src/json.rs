@@ -1,12 +1,14 @@
 //! A minimal JSON value, writer and parser.
 //!
 //! Replaces the serde derives the workspace used to carry: configs and
-//! reports implement [`ToJson`] by hand (a few lines each), the writer
-//! emits deterministic, insertion-ordered output for BENCH_*.json-style
-//! result files, and the parser exists so round-trip tests can prove the
-//! two sides agree. Not a general-purpose JSON library: no comments, no
-//! NaN/Infinity (serialized as `null`), object keys stay in insertion
-//! order.
+//! reports implement [`ToJson`] or a `to_json` method by hand, and the
+//! writer emits deterministic, insertion-ordered output for BENCH_*.json
+//! result files. Serialization is one-way: nothing deserializes a config
+//! or report. The parser serves readers of the emitted text instead:
+//! `jsonck` checks every result file parses, and tests and figure
+//! binaries compare emitted documents or pick fields out of them. Not a
+//! general-purpose JSON library: no comments, no NaN/Infinity (serialized
+//! as `null`), object keys stay in insertion order.
 
 use std::fmt;
 
@@ -43,25 +45,10 @@ impl Json {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::U64(v) => Some(*v),
             Json::I64(v) => u64::try_from(*v).ok(),
-            _ => None,
-        }
-    }
-
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::I64(v) => Some(*v),
-            Json::U64(v) => i64::try_from(*v).ok(),
             _ => None,
         }
     }
@@ -539,10 +526,8 @@ mod tests {
     fn accessors_and_coercion() {
         assert_eq!(Json::U64(7).as_f64(), Some(7.0));
         assert_eq!(Json::I64(-7).as_f64(), Some(-7.0));
-        assert_eq!(Json::U64(7).as_i64(), Some(7));
         assert_eq!(Json::I64(-1).as_u64(), None);
         assert_eq!(Json::Str("x".into()).as_f64(), None);
-        assert_eq!(Json::Bool(true).as_bool(), Some(true));
         let obj = Json::obj([("k", Json::Null)]);
         assert!(obj.get("k").is_some());
         assert!(obj.get("missing").is_none());

@@ -13,7 +13,7 @@
 //! * [`par`] — scoped parallel sweeps over `std::thread::scope`
 //!   (embarrassingly parallel simulator instances, MAC lanes).
 //! * [`json`] — a minimal JSON value, writer and parser for result
-//!   emission and config round-trips.
+//!   emission and for checking the emitted text (`jsonck`, goldens).
 //! * [`bench`] — a micro-benchmark harness (warmup, adaptive iteration
 //!   count, mean/stddev/throughput reporting) for `harness = false` bench
 //!   targets.

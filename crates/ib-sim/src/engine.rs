@@ -226,25 +226,6 @@ impl SimReport {
             ("corrupt_drops", self.corrupt_drops.to_json()),
         ])
     }
-
-    /// Inverse of [`to_json`](Self::to_json).
-    pub fn from_json(v: &Json) -> Option<SimReport> {
-        Some(SimReport {
-            realtime: ClassStats::from_json(v.get("realtime")?)?,
-            best_effort: ClassStats::from_json(v.get("best_effort")?)?,
-            attack: ClassStats::from_json(v.get("attack")?)?,
-            mgmt_delivered: v.get("mgmt_delivered")?.as_u64()?,
-            filter_drops: v.get("filter_drops")?.as_u64()?,
-            hca_blocked: v.get("hca_blocked")?.as_u64()?,
-            traps: v.get("traps")?.as_u64()?,
-            backoff_skips: v.get("backoff_skips")?.as_u64()?,
-            generated: v.get("generated")?.as_u64()?,
-            lookup_cycles: v.get("lookup_cycles")?.as_u64()?,
-            attack_active_fraction: v.get("attack_active_fraction")?.as_f64()?,
-            link_drops: v.get("link_drops")?.as_u64()?,
-            corrupt_drops: v.get("corrupt_drops")?.as_u64()?,
-        })
-    }
 }
 
 /// One finite transfer posted via [`Simulator::post_flow`]: segmented
@@ -2493,27 +2474,25 @@ mod tests {
         assert_eq!(sim.flows().len(), 2);
     }
 
-    /// The satellite round-trip: a real report survives JSON text and back
-    /// with its derived statistics intact.
+    /// A real report serializes to text that parses back to the same
+    /// document, with each class's raw accumulators in place.
     #[test]
     fn sim_report_json_round_trip() {
         let mut cfg = quick_cfg();
         cfg.num_attackers = 2;
         cfg.attack_probability = 1.0;
         let report = Simulator::new(cfg).run();
-        let text = report.to_json().to_string();
-        let back = SimReport::from_json(&Json::parse(&text).unwrap()).expect("parse back");
-        assert_eq!(back.generated, report.generated);
-        assert_eq!(back.hca_blocked, report.hca_blocked);
-        assert_eq!(back.traps, report.traps);
-        assert_eq!(back.realtime.delivered, report.realtime.delivered);
+        let j = report.to_json();
+        assert_eq!(Json::parse(&j.to_string()).unwrap(), j);
+        assert_eq!(j.get("generated"), Some(&Json::U64(report.generated)));
+        assert_eq!(j.get("hca_blocked"), Some(&Json::U64(report.hca_blocked)));
+        assert_eq!(j.get("traps"), Some(&Json::U64(report.traps)));
+        assert_eq!(j.get("realtime"), Some(&report.realtime.to_json()));
+        assert_eq!(j.get("best_effort"), Some(&report.best_effort.to_json()));
         assert_eq!(
-            back.best_effort.queuing.count(),
-            report.best_effort.queuing.count()
+            j.get("attack_active_fraction"),
+            Some(&Json::F64(report.attack_active_fraction))
         );
-        assert!((back.legit_queuing_mean() - report.legit_queuing_mean()).abs() < 1e-12);
-        assert!((back.legit_queuing_stddev() - report.legit_queuing_stddev()).abs() < 1e-12);
-        assert_eq!(back.attack_active_fraction, report.attack_active_fraction);
     }
 
     #[test]

@@ -142,30 +142,6 @@ impl RekeyConfig {
             ("sim", self.sim.to_json()),
         ])
     }
-
-    /// Inverse of [`to_json`](Self::to_json).
-    pub fn from_json(v: &Json) -> Option<RekeyConfig> {
-        Some(RekeyConfig {
-            seed: v.get("seed")?.as_u64()?,
-            security: ChannelSecurity::from_label(v.get("security")?.as_str()?)?,
-            flows: v.get("flows")?.as_u64()? as usize,
-            messages: v.get("messages")?.as_u64()? as usize,
-            payload_len: v.get("payload_len")?.as_u64()? as usize,
-            post_interval: v.get("post_interval_ps")?.as_u64()?,
-            replicas: v.get("replicas")?.as_u64()? as usize,
-            rotation_period: v.get("rotation_period_ps")?.as_u64()?,
-            grace: v.get("grace_ps")?.as_u64()?,
-            kill_leader_at: v.get("kill_leader_at_ps")?.as_u64()?,
-            stale_every: v.get("stale_every")?.as_u64()?,
-            stale_delay: v.get("stale_delay_ps")?.as_u64()?,
-            vl: u8::try_from(v.get("vl")?.as_u64()?).ok()?,
-            rc: RcConfig::from_json(v.get("rc")?)?,
-            replay_window: v.get("replay_window")?.as_u64()? as u32,
-            bucket: v.get("bucket_ps")?.as_u64()?,
-            max_sim_time: v.get("max_sim_time_ps")?.as_u64()?,
-            sim: SimConfig::from_json(v.get("sim")?)?,
-        })
-    }
 }
 
 /// One fig_rekey data point.
@@ -281,49 +257,6 @@ impl RekeyReport {
             ("mgmt_delivered", self.mgmt_delivered.to_json()),
             ("fabric_generated", self.fabric_generated.to_json()),
         ])
-    }
-
-    /// Inverse of [`to_json`](Self::to_json).
-    pub fn from_json(v: &Json) -> Option<RekeyReport> {
-        Some(RekeyReport {
-            delivered: v.get("delivered")?.as_u64()?,
-            expected: v.get("expected")?.as_u64()?,
-            failed: v.get("failed")?.as_bool()?,
-            timed_out: v.get("timed_out")?.as_bool()?,
-            completion_us: v.get("completion_us")?.as_f64()?,
-            goodput_gbps: v.get("goodput_gbps")?.as_f64()?,
-            rotations: v.get("rotations")?.as_u64()?,
-            final_epoch: v.get("final_epoch")?.as_u64()?,
-            key_updates_tx: v.get("key_updates_tx")?.as_u64()?,
-            key_update_acks_rx: v.get("key_update_acks_rx")?.as_u64()?,
-            replicates_tx: v.get("replicates_tx")?.as_u64()?,
-            heartbeats_tx: v.get("heartbeats_tx")?.as_u64()?,
-            claims_tx: v.get("claims_tx")?.as_u64()?,
-            takeovers: v.get("takeovers")?.as_u64()?,
-            leader_kills: v.get("leader_kills")?.as_u64()?,
-            leader_changes: v.get("leader_changes")?.as_u64()?,
-            time_to_recover_us: v.get("time_to_recover_us")?.as_f64()?,
-            buckets: v
-                .get("buckets")?
-                .as_arr()?
-                .iter()
-                .map(Json::as_u64)
-                .collect::<Option<Vec<u64>>>()?,
-            bucket_us: v.get("bucket_us")?.as_f64()?,
-            goodput_dip_frac: v.get("goodput_dip_frac")?.as_f64()?,
-            stale_injected: v.get("stale_injected")?.as_u64()?,
-            stale_admitted: v.get("stale_admitted")?.as_u64()?,
-            rejected_stale_epoch: v.get("rejected_stale_epoch")?.as_u64()?,
-            rejected_future_epoch: v.get("rejected_future_epoch")?.as_u64()?,
-            rejected_auth: v.get("rejected_auth")?.as_u64()?,
-            rejected_stale_psn: v.get("rejected_stale_psn")?.as_u64()?,
-            dup_suppressed: v.get("dup_suppressed")?.as_u64()?,
-            retransmits: v.get("retransmits")?.as_u64()?,
-            payload_mismatches: v.get("payload_mismatches")?.as_u64()?,
-            duplicates_delivered: v.get("duplicates_delivered")?.as_u64()?,
-            mgmt_delivered: v.get("mgmt_delivered")?.as_u64()?,
-            fabric_generated: v.get("fabric_generated")?.as_u64()?,
-        })
     }
 }
 
@@ -701,15 +634,12 @@ mod tests {
         let mut cfg = base();
         cfg.seed = 42;
         let text = cfg.to_json().to_string();
-        let back = RekeyConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.to_json().to_string(), text);
+        assert_eq!(Json::parse(&text).unwrap().to_string(), text);
 
-        let a = run_rekey_sim(&back).to_json().to_string();
+        let a = run_rekey_sim(&cfg).to_json().to_string();
         let b = run_rekey_sim(&cfg).to_json().to_string();
         assert_eq!(a, b, "bit-identical across same-seed runs");
-
-        let parsed = RekeyReport::from_json(&Json::parse(&a).unwrap()).unwrap();
-        assert_eq!(parsed.to_json().to_string(), a);
+        assert_eq!(Json::parse(&a).unwrap().to_string(), a);
 
         cfg.seed = 43;
         let c = run_rekey_sim(&cfg).to_json().to_string();

@@ -1,4 +1,4 @@
-//! RC transport knobs, JSON round-trippable so experiment configs embed
+//! RC transport knobs, serialized to JSON so experiment configs embed
 //! them next to the [`ib_sim::SimConfig`] they ride with.
 
 use ib_runtime::{Json, ToJson};
@@ -23,15 +23,6 @@ impl RetransmitMode {
         match self {
             RetransmitMode::GoBackN => "gbn",
             RetransmitMode::SelectiveRepeat => "sr",
-        }
-    }
-
-    /// Inverse of [`label`](Self::label).
-    pub fn from_label(s: &str) -> Option<RetransmitMode> {
-        match s {
-            "gbn" => Some(RetransmitMode::GoBackN),
-            "sr" => Some(RetransmitMode::SelectiveRepeat),
-            _ => None,
         }
     }
 }
@@ -106,23 +97,6 @@ impl RcConfig {
             ("retransmit", self.retransmit.label().to_json()),
         ])
     }
-
-    /// Inverse of [`to_json`](Self::to_json).
-    pub fn from_json(v: &Json) -> Option<RcConfig> {
-        Some(RcConfig {
-            window: v.get("window")?.as_u64()? as u32,
-            rto: v.get("rto_ps")?.as_u64()?,
-            rto_max: v.get("rto_max_ps")?.as_u64()?,
-            max_retries: v.get("max_retries")?.as_u64()? as u32,
-            ack_coalesce: v.get("ack_coalesce")?.as_u64()? as u32,
-            ack_delay: v.get("ack_delay_ps")?.as_u64()?,
-            rnr_timer: v.get("rnr_timer_ps")?.as_u64()?,
-            initial_psn: v.get("initial_psn")?.as_u64()? as u32,
-            rx_capacity: v.get("rx_capacity")?.as_u64()? as usize,
-            mtu: v.get("mtu")?.as_u64()? as usize,
-            retransmit: RetransmitMode::from_label(v.get("retransmit")?.as_str()?)?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -147,8 +121,12 @@ mod tests {
             retransmit: RetransmitMode::SelectiveRepeat,
             ..RcConfig::default()
         };
-        let text = cfg.to_json().to_string();
-        let back = RcConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, cfg);
+        let j = cfg.to_json();
+        assert_eq!(Json::parse(&j.to_string()).unwrap(), j);
+        assert_eq!(j.get("window"), Some(&Json::U64(16)));
+        assert_eq!(j.get("rto_ps"), Some(&Json::U64(7 * US)));
+        assert_eq!(j.get("initial_psn"), Some(&Json::U64(0xFF_FFF0)));
+        assert_eq!(j.get("mtu"), Some(&Json::U64(512)));
+        assert_eq!(j.get("retransmit").unwrap().as_str(), Some("sr"));
     }
 }

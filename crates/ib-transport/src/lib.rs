@@ -32,7 +32,7 @@
 //!   arbitration, credits, per-link faults and Figure-5 attack traffic,
 //!   so the retransmission and replay machinery is measured under
 //!   congestion (the fig_rdma experiment: SEND / RDMA WRITE / RDMA READ).
-//! * [`config`] — [`config::RcConfig`] knobs with JSON round-tripping.
+//! * [`config`] — [`config::RcConfig`] knobs and their JSON form.
 //!
 //! The invariant that keeps retransmission and replay defense compatible:
 //! the transport's in-flight window never exceeds the replay window

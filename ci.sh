@@ -109,15 +109,16 @@ cargo run -q --release --offline -p bench --bin fig_scale -- --smoke
 diff BENCH_fig_scale.first.json BENCH_fig_scale.json
 rm BENCH_fig_scale.first.json
 
-echo "== parallel engine vs serial (fig1 smoke at IB_THREADS=1 and 4) =="
-# The sharded-engine gate: the same figure computed by the serial oracle
-# and by the windowed parallel engine (IB_ENGINE=par routes run_many
-# through ib_sim::ParSimulator) must be byte-identical at every thread
-# count — any divergence in cross-domain merge order, RNG decomposition
-# or stats merging shows up here.
+echo "== parallel engine vs serial (fig1 smoke at IB_THREADS=2 and 4) =="
+# The sharded-engine gate: the same figure computed by the serial loop
+# and by the windowed run (IB_ENGINE=par runs each run_many cell through
+# ib_sim::Simulator::with_threads at IB_THREADS workers; one thread would
+# be the serial loop again) must be byte-identical at every thread count
+# — any divergence in cross-domain merge order, RNG decomposition or
+# stats merging shows up here.
 cargo run -q --release --offline -p bench --bin fig1 -- --smoke
 mv BENCH_fig1.json BENCH_fig1.serial.json
-IB_ENGINE=par IB_THREADS=1 cargo run -q --release --offline -p bench --bin fig1 -- --smoke
+IB_ENGINE=par IB_THREADS=2 cargo run -q --release --offline -p bench --bin fig1 -- --smoke
 diff BENCH_fig1.serial.json BENCH_fig1.json
 IB_ENGINE=par IB_THREADS=4 cargo run -q --release --offline -p bench --bin fig1 -- --smoke
 diff BENCH_fig1.serial.json BENCH_fig1.json

@@ -12,12 +12,13 @@
 //! emit byte-identical `BENCH_fig_scale.json` (the ci.sh determinism
 //! gate).
 //!
-//! The packet engine also runs sharded (`ib_sim::ParSimulator`) at each
-//! thread count in the `threads` axis (default 1/2/4, overridable with
-//! `IB_THREADS=a,b,c`), reporting `speedup_vs_serial` and per-thread
-//! event rates. Every parallel run is asserted identical to the serial
-//! oracle — completions, event count, and arena high-water — at every
-//! thread count, in both modes; full mode additionally gates ≥2×
+//! The packet engine also runs at each thread count in the `threads`
+//! axis (`ib_sim::Simulator::with_threads`; default 1/2/4, overridable
+//! with `IB_THREADS=a,b,c`; one thread is the serial loop, more run
+//! sharded in lookahead windows), reporting `speedup_vs_serial` and
+//! per-thread event rates. Every such run is asserted identical to the
+//! serial run — completions, event count, and arena high-water — at
+//! every thread count, in both modes; full mode additionally gates ≥2×
 //! speedup at 4 threads on the 1024-host fat-tree.
 //!
 //! Usage: `fig_scale [--smoke] [--seed S]`
@@ -25,7 +26,7 @@
 use bench::{bench_doc, render_table, seed_arg, write_bench_json};
 use ib_flow::{simulate, Flow};
 use ib_runtime::{Json, Rng, Seed, ToJson};
-use ib_sim::{ParSimulator, SimConfig, SimTime, Simulator, TopoSpec};
+use ib_sim::{SimConfig, Simulator, TopoSpec};
 use std::time::Instant;
 
 /// Full-mode speedup floor for the sharded engine at 4 threads on the
@@ -212,37 +213,12 @@ fn thread_counts() -> Vec<usize> {
     }
 }
 
-fn run_packet(cfg: &SimConfig, flows: &[Flow]) -> Run {
+/// The packet engine at `threads` (1 is the serial loop); `engine`
+/// labels the row. Sharded runs are asserted bit-identical to the serial
+/// run by the caller.
+fn run_packet(cfg: &SimConfig, flows: &[Flow], engine: &str, threads: usize) -> Run {
     let start = Instant::now();
-    let mut sim = Simulator::new(cfg.clone());
-    for f in flows {
-        sim.post_flow(f.src, f.dst, f.bytes);
-    }
-    sim.run_hosts_until(SimTime::MAX);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let completions_ps: Vec<f64> = sim
-        .flows()
-        .iter()
-        .map(|f| {
-            f.completed_at
-                .expect("permutation flows complete: one partition, no faults") as f64
-        })
-        .collect();
-    Run {
-        engine: "packet".into(),
-        threads: 1,
-        completions_ps,
-        events: sim.events_processed(),
-        peak_mem_items: sim.peak_packets() as u64,
-        wall_ms,
-    }
-}
-
-/// The sharded engine at an explicit thread count; asserted bit-identical
-/// to the serial run by the caller.
-fn run_parallel(cfg: &SimConfig, flows: &[Flow], threads: usize) -> Run {
-    let start = Instant::now();
-    let mut sim = ParSimulator::with_threads(cfg.clone(), threads);
+    let mut sim = Simulator::with_threads(cfg.clone(), threads);
     for f in flows {
         sim.post_flow(f.src, f.dst, f.bytes);
     }
@@ -257,7 +233,7 @@ fn run_parallel(cfg: &SimConfig, flows: &[Flow], threads: usize) -> Run {
         })
         .collect();
     Run {
-        engine: "packet-par".into(),
+        engine: engine.into(),
         threads,
         completions_ps,
         events: sim.events_processed(),
@@ -351,9 +327,9 @@ fn main() {
 
         let mut runs: Vec<Run> = Vec::new();
         if arm.packet {
-            let serial = run_packet(&cfg, &flows);
+            let serial = run_packet(&cfg, &flows, "packet", 1);
             for &t in &threads_axis {
-                let par = run_parallel(&cfg, &flows, t);
+                let par = run_packet(&cfg, &flows, "packet-par", t);
                 // The tentpole contract: sharded results are identical
                 // to the serial oracle at every thread count.
                 assert_eq!(

@@ -13,7 +13,7 @@
 //!
 //!   Both arms replay the identical op script and must pop the identical
 //!   `(time, payload)` stream (asserted before anything is timed).
-//! * `engine/*` — `Simulator::run_counted` over figure-sized cells
+//! * `engine/*` — `Simulator::run` over figure-sized cells
 //!   (baseline, attack with no filtering / DPT / SIF), reporting
 //!   simulator events per wall-second.
 //!
@@ -34,7 +34,6 @@ use ib_runtime::{Json, ToJson};
 use ib_sim::config::SimConfig;
 use ib_sim::engine::Simulator;
 use ib_sim::event::{EventQueue, HeapQueue, BUCKET_WIDTH_PS, HORIZON_PS};
-use ib_sim::parallel::ParSimulator;
 use ib_sim::time::{SimTime, MS, US};
 
 /// Scheduler arms, baseline-last display order (calendar is the product).
@@ -204,10 +203,10 @@ fn main() {
     }
 
     // ---- engine timing: whole simulations, events per wall-second ----
-    // `threads == 0` is the serial driver; non-zero cells run the same
-    // config through the sharded windowed engine (`ParSimulator`) and
-    // are asserted report-identical to their serial counterpart before
-    // their throughput is recorded.
+    // `threads == 0` is the serial loop; non-zero cells run the same
+    // config sharded in lookahead windows at that many threads and are
+    // asserted report-identical to their serial counterpart before their
+    // throughput is recorded.
     let cells = [
         ("baseline", EnforcementKind::NoFiltering, 0usize, 0usize),
         ("attack-nofilter", EnforcementKind::NoFiltering, 4, 0),
@@ -224,23 +223,13 @@ fn main() {
         let mut report_json = String::new();
         for _ in 0..engine_reps {
             let cfg = engine_cfg(kind, attackers, engine_ps);
-            if threads == 0 {
-                let sim = Simulator::new(cfg);
-                let start = Instant::now();
-                let (report, n) = sim.run_counted();
-                ns.push(start.elapsed().as_nanos() as f64);
-                report_json = report.to_json().to_string();
-                std::hint::black_box(report);
-                events = n; // identical every rep (determinism)
-            } else {
-                let mut sim = ParSimulator::with_threads(cfg, threads);
-                let start = Instant::now();
-                let report = sim.run();
-                ns.push(start.elapsed().as_nanos() as f64);
-                report_json = report.to_json().to_string();
-                std::hint::black_box(report);
-                events = sim.events_processed();
-            }
+            let mut sim = Simulator::with_threads(cfg, threads.max(1));
+            let start = Instant::now();
+            let report = sim.run();
+            ns.push(start.elapsed().as_nanos() as f64);
+            report_json = report.to_json().to_string();
+            std::hint::black_box(report);
+            events = sim.events_processed(); // identical every rep (determinism)
         }
         if threads == 0 {
             serial_reports.push((kind, attackers, report_json));

@@ -193,6 +193,32 @@ impl SecureFabric {
         psn
     }
 
+    /// Build a datagram from `src` to `dst`, consuming the pair's next
+    /// PSN — the one builder both send paths share.
+    fn build_datagram(
+        &mut self,
+        src: usize,
+        dst: usize,
+        pkey: PKey,
+        qkey: QKey,
+        payload: &[u8],
+    ) -> Result<Packet, FabricError> {
+        if src >= self.nodes.len() || dst >= self.nodes.len() {
+            return Err(FabricError::NoSuchNode);
+        }
+        let psn = self.next_psn(src, dst);
+        let (src_node, dst_node) = (&self.nodes[src], &self.nodes[dst]);
+        Ok(PacketBuilder::new(OpCode::UD_SEND_ONLY)
+            .slid(src_node.lid)
+            .dlid(dst_node.lid)
+            .pkey(pkey)
+            .psn(psn)
+            .dest_qp(dst_node.dg_qp)
+            .qkey(qkey, src_node.dg_qp)
+            .payload(payload.to_vec())
+            .build())
+    }
+
     /// Build, tag, and serialize a datagram from `src` to `dst` in
     /// partition `pkey` carrying `qkey` (from [`SecureFabric::request_qkey`]
     /// under QP scope; any agreed value under partition scope).
@@ -204,20 +230,7 @@ impl SecureFabric {
         qkey: QKey,
         payload: &[u8],
     ) -> Result<Vec<u8>, FabricError> {
-        if src >= self.nodes.len() || dst >= self.nodes.len() {
-            return Err(FabricError::NoSuchNode);
-        }
-        let psn = self.next_psn(src, dst);
-        let src_node = &self.nodes[src];
-        let mut packet = PacketBuilder::new(OpCode::UD_SEND_ONLY)
-            .slid(src_node.lid)
-            .dlid(self.nodes[dst].lid)
-            .pkey(pkey)
-            .psn(psn)
-            .dest_qp(self.nodes[dst].dg_qp)
-            .qkey(qkey, src_node.dg_qp)
-            .payload(payload.to_vec())
-            .build();
+        let mut packet = self.build_datagram(src, dst, pkey, qkey, payload)?;
         self.nodes[src].auth.tag_packet(&mut packet)?;
         Ok(packet.to_bytes())
     }
@@ -232,62 +245,25 @@ impl SecureFabric {
         qkey: QKey,
         payload: &[u8],
     ) -> Result<Vec<u8>, FabricError> {
-        if src >= self.nodes.len() || dst >= self.nodes.len() {
-            return Err(FabricError::NoSuchNode);
-        }
-        let psn = self.next_psn(src, dst);
-        let src_node = &self.nodes[src];
-        let packet = PacketBuilder::new(OpCode::UD_SEND_ONLY)
-            .slid(src_node.lid)
-            .dlid(self.nodes[dst].lid)
-            .pkey(pkey)
-            .psn(psn)
-            .dest_qp(self.nodes[dst].dg_qp)
-            .qkey(qkey, src_node.dg_qp)
-            .payload(payload.to_vec())
-            .build();
-        Ok(packet.to_bytes())
+        Ok(self
+            .build_datagram(src, dst, pkey, qkey, payload)?
+            .to_bytes())
     }
 
     /// Receive raw wire bytes at node `dst`: parse, partition check,
     /// policy check, authentication, replay check. Returns the payload.
+    /// The one-buffer case of [`Self::deliver_many`].
     pub fn deliver(&mut self, dst: usize, bytes: &[u8]) -> Result<Vec<u8>, FabricError> {
-        let node = self.nodes.get_mut(dst).ok_or(FabricError::NoSuchNode)?;
-        let packet = Packet::parse(bytes)?;
-        // Stock-IBA receive checks first: P_Key table.
-        let (pkey_ok, _) = node.table.check(packet.bth.pkey);
-        if !pkey_ok {
-            return Err(FabricError::PKeyViolation);
-        }
-        // On-demand policy.
-        if !node.policy.admits(&packet) {
-            return Err(FabricError::PolicyViolation);
-        }
-        // Authentication (or legacy ICRC for selector 0).
-        node.auth.verify_packet(&packet)?;
-        // Replay freshness per (sender LID, sender QP) flow.
-        if packet.bth.resv8a != 0 {
-            let flow = (
-                packet.lrh.slid,
-                packet.deth.as_ref().map_or(Qpn(0), |d| d.src_qp),
-            );
-            let window = node
-                .replay
-                .entry(flow)
-                .or_insert_with(|| ReplayWindow::new(64));
-            if !window.accept_psn(packet.bth.psn.0) {
-                return Err(FabricError::Replay);
-            }
-        }
-        Ok(packet.payload)
+        self.deliver_many(dst, &[bytes])
+            .pop()
+            .expect("one verdict per buffer")
     }
 
-    /// Batched [`Self::deliver`]: parse every buffer, run the stock
+    /// Receive a batch at node `dst`: parse every buffer, run the stock
     /// P_Key/policy checks, verify all surviving tags through the
     /// authenticator's multi-buffer MAC kernels in one dispatch, then
     /// apply replay freshness in arrival order. Verdict `i` is exactly
-    /// what `deliver(dst, bufs[i])` would have returned if called in
-    /// sequence.
+    /// what delivering `bufs[i]` alone, in sequence, would have returned.
     pub fn deliver_many(
         &mut self,
         dst: usize,
@@ -296,8 +272,8 @@ impl SecureFabric {
         let Some(node) = self.nodes.get_mut(dst) else {
             return bufs.iter().map(|_| Err(FabricError::NoSuchNode)).collect();
         };
-        // Stage 1: parse + stock receive checks. Only packets that pass
-        // reach the MAC batch, mirroring `deliver`'s early returns.
+        // Stage 1: parse + stock receive checks (P_Key table, then
+        // on-demand policy). Only packets that pass reach the MAC batch.
         let staged: Vec<Result<Packet, FabricError>> = bufs
             .iter()
             .map(|bytes| {
@@ -313,14 +289,15 @@ impl SecureFabric {
             })
             .collect();
         // Stage 2: whole-batch tag verification (multi-buffer where the
-        // algorithm allows). Verification is stateless, so order within
-        // the batch cannot change any verdict.
+        // algorithm allows; legacy ICRC for selector 0). Verification is
+        // stateless, so order within the batch cannot change any verdict.
         let mut verdicts = Vec::new();
         {
             let batch: Vec<&Packet> = staged.iter().filter_map(|r| r.as_ref().ok()).collect();
             node.auth.verify_batch(&batch, &mut verdicts);
         }
-        // Stage 3: replay windows advance strictly in arrival order.
+        // Stage 3: replay freshness per (sender LID, sender QP) flow, with
+        // windows advancing strictly in arrival order.
         let mut verdicts = verdicts.into_iter();
         staged
             .into_iter()

@@ -4,22 +4,25 @@
 //! queue's worth of switches and HCAs per topology partition (fat-tree
 //! pod, dragonfly group, mesh 2×2 tile; see [`Topology::partition`]).
 //! Handlers ([`Ctx`]) mutate exactly one [`Domain`] and stage every
-//! scheduled event into `Domain::out`; a *driver* routes those messages.
-//! Two drivers share the core:
+//! scheduled event into `Domain::out`; the driver, [`Simulator`], routes
+//! those messages. It keeps every pending event in one merged queue and
+//! runs in one of two orders:
 //!
-//! * [`Simulator`] — the serial oracle: one merged event queue, events
-//!   popped in global `(time, seq)` key order.
-//! * [`crate::ParSimulator`] — conservative parallel execution: one queue
-//!   per domain, synchronized in lookahead windows `[T, T+W)` where `W`
-//!   is the minimum cross-domain latency (propagation delay, trap
-//!   latency, filter-program latency) and `T` is the global minimum
-//!   pending-event time. Any event a domain emits at `now` lands at
-//!   `≥ now + W` when it crosses a domain boundary, so processing each
-//!   window independently per domain is exact, not approximate.
+//! * serial — events pop in global `(time, seq)` key order and dispatch
+//!   into their target domain. [`Simulator::run_hosts_until`] and every
+//!   one-thread run take this path.
+//! * windowed — [`Simulator::run`] with more than one worker splits the
+//!   merged queue into one queue per domain and synchronizes the domains
+//!   in lookahead windows `[T, T+W)`, where `W` is the minimum
+//!   cross-domain latency (propagation delay, trap latency,
+//!   filter-program latency) and `T` is the global minimum pending-event
+//!   time. Any event a domain emits at `now` lands at `≥ now + W` when it
+//!   crosses a domain boundary, so processing each window independently
+//!   per domain is exact, not approximate.
 //!
-//! Determinism is engine-independent: every event carries an *intrinsic*
+//! Determinism is order-independent: every event carries an *intrinsic*
 //! key `(time, origin_entity_id << 32 | per-origin seq)` and every RNG
-//! draw comes from a per-node stream, so the two drivers produce
+//! draw comes from a per-node stream, so both orders produce
 //! bit-identical reports at any thread count — the contract the
 //! `ci.sh` byte-diff gates and `tests/parallel_equivalence.rs` enforce.
 //!
@@ -323,7 +326,7 @@ pub(crate) struct Shared {
     pub(crate) mtu_tx: SimTime,
     pub(crate) auth_delay: SimTime,
     /// Number of event domains (the topology's *natural* partition —
-    /// both engines always use it, so thread count never changes the
+    /// both run orders always use it, so thread count never changes the
     /// decomposition or any result derived from it).
     pub(crate) num_domains: usize,
     pub(crate) dom_of_switch: Vec<usize>,
@@ -336,8 +339,8 @@ pub(crate) struct Shared {
     pub(crate) sm_domain: usize,
     /// Conservative lookahead window `W`: every cross-domain emission is
     /// due at least `W` after the emitting domain's clock. `None` when a
-    /// single domain exists (or `W` would be zero) — drivers then run a
-    /// plain merge.
+    /// single domain exists (or `W` would be zero) — [`Simulator::run`]
+    /// then runs serially.
     pub(crate) lookahead: Option<SimTime>,
     /// Precomputed half-open attack windows, sorted and disjoint.
     pub(crate) attack_windows: Vec<(SimTime, SimTime)>,
@@ -371,8 +374,8 @@ pub(crate) struct Domain {
     pub(crate) faults: Option<Vec<FaultInjector>>,
     pub(crate) stats: SimReport,
     wire_scratch: Vec<u8>,
-    /// Events staged by handlers; the driver routes them (serial: one
-    /// merged queue; parallel: own queue or a peer domain's mailbox).
+    /// Events staged by handlers; the driver routes them (serial: the
+    /// merged queue; windowed: own queue or a peer domain's mailbox).
     pub(crate) out: Vec<OutMsg>,
     /// Events handled in this domain.
     pub(crate) events: u64,
@@ -381,11 +384,11 @@ pub(crate) struct Domain {
     /// flow id → packets still undelivered (registered at the
     /// *destination's* domain, where every packet of the flow terminates).
     flow_progress: HashMap<u32, usize>,
-    /// Flows that completed here, with their delivery times; drivers
-    /// drain this into [`FlowRecord::completed_at`].
+    /// Flows that completed here, with their delivery times; the driver
+    /// drains this into [`FlowRecord::completed_at`].
     pub(crate) flow_done: Vec<(u32, SimTime)>,
-    /// Host deliveries landed in this domain; the serial driver drains
-    /// them into its global inbox.
+    /// Host deliveries landed in this domain; the serial loop drains
+    /// them into the simulator's inbox.
     pub(crate) host_inbox: VecDeque<HostDelivery>,
 }
 
@@ -452,7 +455,7 @@ pub(crate) fn push_ev(sh: &Shared, dom: &mut Domain, origin: Origin, at: SimTime
     let ev = if target == dom.idx {
         ev
     } else {
-        debug_assert!(
+        assert!(
             sh.lookahead.is_none_or(|w| at >= dom.now + w),
             "cross-domain event due inside the lookahead window"
         );
@@ -523,11 +526,11 @@ fn compute_attack_windows(cfg: &SimConfig) -> Vec<(SimTime, SimTime)> {
     }
 }
 
-/// The engine-agnostic simulation core: immutable [`Shared`] state plus
-/// one [`Domain`] per topology partition. Both drivers are thin loops
-/// over this — the serial one merges every domain into a single queue,
-/// the parallel one gives each domain its own and synchronizes on
-/// lookahead windows.
+/// The order-agnostic simulation core: immutable [`Shared`] state plus
+/// one [`Domain`] per topology partition. [`Simulator`]'s serial loop and
+/// its windowed run are both thin loops over this — the first pops one
+/// merged queue, the second gives each domain its own queue and
+/// synchronizes on lookahead windows.
 pub(crate) struct SimCore {
     pub(crate) shared: Shared,
     pub(crate) domains: Vec<Domain>,
@@ -870,7 +873,7 @@ impl SimCore {
 
     /// Sum of the per-domain arena high-water marks (deterministic: the
     /// deferred-insertion rule keeps every domain's arena history
-    /// identical under both drivers).
+    /// identical under both run orders).
     pub(crate) fn peak_packets(&self) -> usize {
         self.domains.iter().map(|d| d.arena.capacity()).sum()
     }
@@ -983,9 +986,9 @@ impl SimCore {
         flow as usize
     }
 
-    /// Drain every domain's completion log into the flow records (the
-    /// parallel driver calls this once after the run; the serial driver
-    /// drains incrementally and finds nothing left here).
+    /// Drain every domain's completion log into the flow records (a
+    /// windowed run needs this once at its end; the serial loop drains
+    /// incrementally and leaves nothing here).
     pub(crate) fn finalize_flows(&mut self) {
         let flows = &mut self.flows;
         for dom in &mut self.domains {
@@ -1783,34 +1786,53 @@ impl Ctx<'_> {
     }
 }
 
-// ------------------------------------------------------------ serial driver
+// ------------------------------------------------------------------ driver
 
-/// The serial driver — the parallel engine's correctness oracle. One
-/// merged [`EventQueue`]; events pop in global `(time, seq)` order and
-/// dispatch into their target domain's [`Ctx`].
+/// The simulator: the sharded simulation state, one merged
+/// [`EventQueue`] holding every pending event in global `(time, seq)`
+/// order, and a thread count.
+/// [`run`](Self::run) executes the domains in lookahead windows on the
+/// worker pool when the thread count, the domain count and the lookahead
+/// allow it, and pops the merged queue in key order otherwise; both give
+/// bit-identical results. [`run_hosts_until`](Self::run_hosts_until) is
+/// always serial.
 pub struct Simulator {
-    core: SimCore,
-    queue: EventQueue,
-    now: SimTime,
-    /// Events popped past a `run_hosts_until` horizon, kept in key order.
-    held: VecDeque<(EventKey, Event)>,
+    pub(crate) core: SimCore,
+    pub(crate) queue: EventQueue,
+    pub(crate) now: SimTime,
     host_inbox: VecDeque<HostDelivery>,
+    pub(crate) threads: usize,
 }
 
 impl Simulator {
     /// Build the simulation: topology, partition layout, attackers, SM,
-    /// and the initial event population.
+    /// and the initial event population. Runs on one thread.
     pub fn new(cfg: SimConfig) -> Simulator {
-        let core = SimCore::new(cfg);
+        Simulator::with_threads(cfg, 1)
+    }
+
+    /// Build with a thread-count cap for [`run`](Self::run). The count
+    /// selects only the domain → worker assignment, never a result.
+    pub fn with_threads(cfg: SimConfig, threads: usize) -> Simulator {
         let mut sim = Simulator {
-            core,
+            core: SimCore::new(cfg),
             queue: EventQueue::new(),
             now: 0,
-            held: VecDeque::new(),
             host_inbox: VecDeque::new(),
+            threads: threads.max(1),
         };
         sim.drain_staged();
         sim
+    }
+
+    /// Number of event domains the topology decomposed into.
+    pub fn num_domains(&self) -> usize {
+        self.core.shared.num_domains
+    }
+
+    /// The thread cap this simulator was built with.
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// Move every staged event (from construction or a `post_*` call)
@@ -1827,7 +1849,7 @@ impl Simulator {
     /// Handle one event in its target domain, then route whatever it
     /// staged back into the merged queue and surface completions.
     fn dispatch(&mut self, key: EventKey, ev: Event) {
-        debug_assert!(key.time >= self.now, "time went backwards");
+        assert!(key.time >= self.now, "time went backwards");
         self.now = key.time;
         let d = target_domain(&self.core.shared, &ev);
         let core = &mut self.core;
@@ -1848,42 +1870,28 @@ impl Simulator {
         self.host_inbox.append(&mut dom.host_inbox);
     }
 
-    /// Next event in global key order, merging the queue with the held
-    /// buffer (events popped past a previous `run_hosts_until` limit).
-    /// Keys are unique, so the merge is a strict total order.
-    fn pop_next(&mut self) -> Option<(EventKey, Event)> {
-        let popped = self.queue.pop_keyed();
-        let held_first = match (self.held.front(), &popped) {
-            (Some((hk, _)), Some((pk, _))) => hk < pk,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if !held_first {
-            return popped;
+    /// Run until no event is pending and return the report —
+    /// bit-identical at any thread count. Host deliveries are surfaced
+    /// by [`run_hosts_until`](Self::run_hosts_until), which is what a
+    /// co-simulation drives; after a windowed `run` they stay unread.
+    pub fn run(&mut self) -> SimReport {
+        match self.window_plan() {
+            Some((workers, w)) => self.run_windowed(workers, w),
+            None => {
+                while let Some((key, ev)) = self.queue.pop_keyed() {
+                    self.dispatch(key, ev);
+                }
+            }
         }
-        if let Some((pk, pev)) = popped {
-            let pos = self
-                .held
-                .iter()
-                .position(|(hk, _)| *hk > pk)
-                .unwrap_or(self.held.len());
-            self.held.insert(pos, (pk, pev));
-        }
-        self.held.pop_front()
-    }
-
-    /// Run to completion and return the report.
-    pub fn run(self) -> SimReport {
-        self.run_counted().0
+        self.core.finalize_flows();
+        self.core.merged_report()
     }
 
     /// Run to completion, also returning the number of events processed
     /// (the `sim_engine` bench divides by wall-clock for events/sec).
     pub fn run_counted(mut self) -> (SimReport, u64) {
-        while let Some((key, ev)) = self.pop_next() {
-            self.dispatch(key, ev);
-        }
-        (self.core.merged_report(), self.core.events_processed())
+        let report = self.run();
+        (report, self.core.events_processed())
     }
 
     // ------------------------------------------------------------- host hook
@@ -1914,21 +1922,20 @@ impl Simulator {
     /// horizon `limit` is reached, or the queue drains — whichever comes
     /// first. Returns the new simulation time, which never exceeds the
     /// first pending delivery's time and never regresses. An event popped
-    /// past `limit` is held and re-merged by `pop_next` on the next call.
+    /// past `limit` goes back into the queue under its own key, so the
+    /// global event order is the same as in one uninterrupted run.
     pub fn run_hosts_until(&mut self, limit: SimTime) -> SimTime {
         while self.host_inbox.is_empty() {
-            let Some((key, ev)) = self.pop_next() else {
-                self.now = self.now.max(limit);
-                break;
-            };
-            if key.time > limit {
-                // This key is the global minimum right now, so it precedes
-                // everything already held.
-                self.held.push_front((key, ev));
-                self.now = self.now.max(limit);
-                break;
+            match self.queue.pop_keyed() {
+                Some((key, ev)) if key.time <= limit => self.dispatch(key, ev),
+                next => {
+                    if let Some((key, ev)) = next {
+                        self.queue.push_keyed(key.time, key.seq, ev);
+                    }
+                    self.now = self.now.max(limit);
+                    break;
+                }
             }
-            self.dispatch(key, ev);
         }
         self.now
     }
@@ -2059,22 +2066,27 @@ mod tests {
     fn host_hook_interleaves_with_background_traffic() {
         // With sources active, run_hosts_until must keep the background
         // simulation bit-identical to an uninterrupted run of the same
-        // seed (the held-event slot preserves global event order).
-        let base = Simulator::new(quick_cfg()).run();
+        // seed: an event popped past the horizon goes back under its own
+        // key. Horizons cycle through a fixed step, the exact time of the
+        // next pending event (dispatched) and one tick before it
+        // (re-queued).
+        let (base, base_events) = Simulator::new(quick_cfg()).run_counted();
         let mut sim = Simulator::new(quick_cfg());
-        let mut t = 0;
-        while t < 3 * MS {
-            t = sim.run_hosts_until(t + 100 * US);
+        let mut step = 0u64;
+        while sim.now() < 3 * MS {
+            let next = sim.queue.peek_key().map_or(SimTime::MAX, |k| k.time);
+            let limit = match step % 3 {
+                0 => sim.now() + 10 * US,
+                1 => next,
+                _ => next.saturating_sub(1),
+            };
+            step += 1;
+            sim.run_hosts_until(limit);
             while sim.take_host_delivery().is_some() {}
-            if sim.now() >= 3 * MS {
-                break;
-            }
         }
-        let (report, _) = sim.run_counted();
-        assert_eq!(report.generated, base.generated);
-        assert_eq!(report.realtime.delivered, base.realtime.delivered);
-        assert_eq!(report.best_effort.delivered, base.best_effort.delivered);
-        assert!((report.legit_queuing_mean() - base.legit_queuing_mean()).abs() < 1e-12);
+        let (report, events) = sim.run_counted();
+        assert_eq!(report.to_json().to_string(), base.to_json().to_string());
+        assert_eq!(events, base_events);
     }
 
     #[test]

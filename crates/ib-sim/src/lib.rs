@@ -36,7 +36,7 @@ pub mod event;
 pub mod fattree;
 pub mod fault;
 pub mod metrics;
-pub mod parallel;
+mod parallel;
 pub mod time;
 pub mod topology;
 pub mod traffic;
@@ -48,7 +48,10 @@ pub use engine::{HostDelivery, SimReport, Simulator};
 pub use fattree::FatTree;
 pub use fault::{FaultConfig, FaultInjector, FaultOutcome};
 pub use metrics::{ClassStats, OnlineStats};
-pub use parallel::ParSimulator;
 pub use time::{SimTime, BYTE_TIME_PS, NS, PS, US};
 pub use topology::{flow_hash, MeshTopology, Partition, Peer, Topology};
 pub use traffic::TrafficClass;
+
+/// Alias of [`Simulator`] (sharded runs: [`Simulator::with_threads`]),
+/// kept for the `perfbench` harness, which still names it.
+pub type ParSimulator = Simulator;

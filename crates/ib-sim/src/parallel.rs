@@ -1,10 +1,11 @@
-//! Conservative parallel driver for the sharded packet engine.
+//! Windowed parallel execution of [`Simulator::run`].
 //!
-//! [`ParSimulator`] runs the same [`SimCore`] the serial [`Simulator`]
-//! does, but gives every event domain its own calendar queue and executes
-//! domains on the persistent `ib-runtime` worker pool, synchronized in
-//! **lookahead windows** (Chandy–Misra–Bryant-style conservative
-//! synchronization, specialized to barrier-synchronous rounds):
+//! With more than one worker, more than one domain and a lookahead, `run`
+//! splits the merged queue into one calendar queue per event domain and
+//! executes the domains on the persistent `ib-runtime` worker pool,
+//! synchronized in **lookahead windows** (Chandy–Misra–Bryant-style
+//! conservative synchronization, specialized to barrier-synchronous
+//! rounds):
 //!
 //! 1. `T` = the global minimum pending-event time (over every domain
 //!    queue and in-flight mailbox) — the horizon jump, so idle stretches
@@ -26,16 +27,14 @@
 //! Determinism: thread count selects only the domain→worker assignment.
 //! The domain decomposition, every event's intrinsic key, every per-node
 //! RNG draw, and the fixed-order report merge are all identical to the
-//! serial engine, so `run()` returns bit-identical results at any thread
+//! serial loop, so `run()` returns bit-identical results at any thread
 //! count — a property `tests/parallel_equivalence.rs` and the `ci.sh`
 //! byte-diff gates enforce.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::config::SimConfig;
-use crate::engine::{Ctx, Domain, SimCore, SimReport};
-use crate::engine::{FlowRecord, Simulator};
+use crate::engine::{target_domain, Ctx, Domain, Simulator};
 use crate::event::{Event, EventQueue};
 use crate::time::SimTime;
 
@@ -78,170 +77,32 @@ fn relax(spins: &mut u32) {
     }
 }
 
-/// The parallel driver. Construction, posting and reporting mirror
-/// [`Simulator`]; only `run` differs — it executes the domains on the
-/// process-wide worker pool (or falls back to an in-place D-way merge
-/// when parallelism can't help: one thread, one domain, or zero
-/// lookahead).
-pub struct ParSimulator {
-    core: SimCore,
-    /// One calendar queue per domain, index-aligned with `core.domains`.
-    queues: Vec<EventQueue>,
-    threads: usize,
-    finished: bool,
-}
-
-impl ParSimulator {
-    /// Build with as many threads as the machine offers.
-    pub fn new(cfg: SimConfig) -> ParSimulator {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ParSimulator::with_threads(cfg, threads)
-    }
-
-    /// Build with an explicit thread-count cap. `threads == 1` is the
-    /// serial D-way merge — still the sharded core, just no pool.
-    pub fn with_threads(cfg: SimConfig, threads: usize) -> ParSimulator {
-        let core = SimCore::new(cfg);
-        let queues = (0..core.shared.num_domains)
-            .map(|_| EventQueue::new())
-            .collect();
-        let mut sim = ParSimulator {
-            core,
-            queues,
-            threads: threads.max(1),
-            finished: false,
-        };
-        sim.drain_staged();
-        sim
-    }
-
-    /// Route staged events (construction, `post_flow`) into their target
-    /// domains' queues.
-    fn drain_staged(&mut self) {
-        for dom in &mut self.core.domains {
-            for m in dom.out.drain(..) {
-                self.queues[m.target].push_keyed(m.at, m.seq, m.ev);
-            }
+impl Simulator {
+    /// Workers and window width for a windowed run, or `None` when
+    /// parallelism can't help: one thread, one domain, no lookahead, or a
+    /// one-thread pool.
+    pub(crate) fn window_plan(&self) -> Option<(usize, SimTime)> {
+        let w = self.core.shared.lookahead?;
+        let want = self.threads.min(self.core.shared.num_domains);
+        if want <= 1 {
+            return None;
         }
-    }
-
-    /// Post a finite transfer before the run (see [`Simulator::post_flow`]).
-    pub fn post_flow(&mut self, src: usize, dst: usize, bytes: u64) -> usize {
-        assert!(!self.finished, "post_flow after run");
-        let flow = self.core.post_flow_at(0, src, dst, bytes);
-        self.drain_staged();
-        flow
-    }
-
-    /// Number of event domains the topology decomposed into.
-    pub fn num_domains(&self) -> usize {
-        self.core.shared.num_domains
-    }
-
-    /// The thread cap this driver was built with.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Run to completion and return the report — bit-identical to
-    /// [`Simulator::run`] on the same config at any thread count.
-    pub fn run(&mut self) -> SimReport {
-        assert!(!self.finished, "run called twice");
-        self.finished = true;
-        let workers = self.threads.min(self.core.shared.num_domains);
-        match self.core.shared.lookahead {
-            Some(w) if workers > 1 => self.run_windowed(workers, w),
-            _ => self.run_merged(),
-        }
-        self.core.finalize_flows();
-        self.core.merged_report()
-    }
-
-    /// Events handled across all domains (valid after `run`).
-    pub fn events_processed(&self) -> u64 {
-        self.core.events_processed()
-    }
-
-    /// Sum of per-domain arena high-water marks (valid after `run`).
-    pub fn peak_packets(&self) -> usize {
-        self.core.peak_packets()
-    }
-
-    /// Flow records in posting order (completion times filled by `run`).
-    pub fn flows(&self) -> &[FlowRecord] {
-        &self.core.flows
-    }
-
-    /// Fallback driver: pop the globally minimal key across the per-domain
-    /// queues. Exactly the serial engine's order (each event lives in its
-    /// target's queue, and per-domain key order is a refinement of the
-    /// global one), without threads or windows.
-    ///
-    /// The per-domain heads are tracked in a lazy min-heap rather than a
-    /// linear scan: an entry is pushed whenever a domain's head changes
-    /// (after a pop, or when a routed event becomes the new head), and a
-    /// popped entry that no longer matches its domain's head is simply
-    /// discarded — every current head always has a live entry.
-    fn run_merged(&mut self) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut heads: BinaryHeap<Reverse<(crate::event::EventKey, usize)>> = self
-            .queues
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(d, q)| q.peek_key().map(|k| Reverse((k, d))))
-            .collect();
-        while let Some(Reverse((key, d))) = heads.pop() {
-            match self.queues[d].peek_key() {
-                Some(cur) if cur == key => {}
-                _ => continue, // stale entry; the real head has its own
-            }
-            let (key, ev) = self.queues[d].pop_keyed().unwrap();
-            let dom = &mut self.core.domains[d];
-            dom.now = key.time;
-            dom.events += 1;
-            Ctx {
-                sh: &self.core.shared,
-                dom,
-            }
-            .handle(ev);
-            for m in dom.out.drain(..) {
-                let t = m.target;
-                let prev = self.queues[t].peek_key();
-                self.queues[t].push_keyed(m.at, m.seq, m.ev);
-                let now_head = self.queues[t].peek_key().unwrap();
-                if prev != Some(now_head) {
-                    heads.push(Reverse((now_head, t)));
-                }
-            }
-            if let Some(next) = self.queues[d].peek_key() {
-                heads.push(Reverse((next, d)));
-            }
-        }
+        let workers = want.min(ib_runtime::par::global_pool(want).threads());
+        (workers > 1).then_some((workers, w))
     }
 
     /// The windowed parallel protocol described in the module docs.
-    fn run_windowed(&mut self, workers: usize, w: SimTime) {
+    pub(crate) fn run_windowed(&mut self, workers: usize, w: SimTime) {
         let nd = self.core.shared.num_domains;
-        let mut t0 = SimTime::MAX;
-        for q in self.queues.iter_mut() {
-            if let Some(k) = q.peek_key() {
-                t0 = t0.min(k.time);
-            }
-        }
-        if t0 == SimTime::MAX {
+        let Some(t0) = self.queue.peek_key().map(|k| k.time) else {
             return; // nothing scheduled
+        };
+        let mut queues: Vec<EventQueue> = (0..nd).map(|_| EventQueue::new()).collect();
+        while let Some((key, ev)) = self.queue.pop_keyed() {
+            queues[target_domain(&self.core.shared, &ev)].push_keyed(key.time, key.seq, ev);
         }
         let pool = ib_runtime::par::global_pool(workers);
-        let workers = workers.min(pool.threads());
-        if workers <= 1 {
-            return self.run_merged();
-        }
-
-        let queue_next: Vec<AtomicU64> = self
-            .queues
+        let queue_next: Vec<AtomicU64> = queues
             .iter_mut()
             .map(|q| AtomicU64::new(q.peek_key().map_or(SimTime::MAX, |k| k.time)))
             .collect();
@@ -249,13 +110,7 @@ impl ParSimulator {
         // slot Mutex is locked once per run, not per round.
         let slots: Vec<Mutex<Vec<(usize, Domain, EventQueue)>>> =
             (0..workers).map(|_| Mutex::new(Vec::new())).collect();
-        for (d, (dom, queue)) in self
-            .core
-            .domains
-            .drain(..)
-            .zip(self.queues.drain(..))
-            .enumerate()
-        {
+        for (d, (dom, queue)) in self.core.domains.drain(..).zip(queues).enumerate() {
             let mut slot = slots[d % workers].lock().unwrap_or_else(|p| p.into_inner());
             slot.push((d, dom, queue));
         }
@@ -362,32 +217,31 @@ impl ParSimulator {
             }
         });
 
-        // Move every domain (and its queue) back in index order.
-        let mut returned: Vec<Option<(Domain, EventQueue)>> = (0..nd).map(|_| None).collect();
+        // Move every domain back in index order; its queue has drained.
+        let mut returned: Vec<Option<Domain>> = (0..nd).map(|_| None).collect();
         for slot in slots {
             let inner = slot.into_inner().unwrap_or_else(|p| p.into_inner());
-            for (d, dom, queue) in inner {
-                returned[d] = Some((dom, queue));
+            for (d, dom, _) in inner {
+                returned[d] = Some(dom);
             }
         }
-        for pair in returned {
-            let (dom, queue) = pair.expect("every domain returns from its worker");
-            self.core.domains.push(dom);
-            self.queues.push(queue);
-        }
+        self.core.domains = returned
+            .into_iter()
+            .map(|dom| dom.expect("every domain returns from its worker"))
+            .collect();
+        self.now = self
+            .core
+            .domains
+            .iter()
+            .map(|d| d.now)
+            .fold(self.now, SimTime::max);
     }
-}
-
-/// Run `cfg` through the serial oracle — a convenience the equivalence
-/// tests and benches share.
-pub fn serial_report(cfg: SimConfig) -> SimReport {
-    Simulator::new(cfg).run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{TopoSpec, TrapTransport};
+    use crate::config::{SimConfig, TopoSpec, TrapTransport};
     use crate::time::{MS, US};
     use ib_mgmt::enforcement::EnforcementKind;
 
@@ -402,20 +256,15 @@ mod tests {
     /// Byte-level report equality via the JSON form (covers every counter
     /// and the raw Welford accumulators).
     fn assert_identical(cfg: SimConfig, threads: usize) {
-        let serial = Simulator::new(cfg.clone());
-        let serial_events = {
-            let (report, events) = serial.run_counted();
-            let mut par = ParSimulator::with_threads(cfg, threads);
-            let preport = par.run();
-            assert_eq!(
-                report.to_json().to_string(),
-                preport.to_json().to_string(),
-                "parallel report diverged at {threads} threads"
-            );
-            (events, par.events_processed(), par.peak_packets())
-        };
-        let (se, pe, _) = serial_events;
-        assert_eq!(se, pe, "event counts diverged");
+        let (report, events) = Simulator::new(cfg.clone()).run_counted();
+        let mut par = Simulator::with_threads(cfg, threads);
+        let preport = par.run();
+        assert_eq!(
+            report.to_json().to_string(),
+            preport.to_json().to_string(),
+            "parallel report diverged at {threads} threads"
+        );
+        assert_eq!(events, par.events_processed(), "event counts diverged");
     }
 
     #[test]
@@ -480,7 +329,7 @@ mod tests {
         let mut serial = Simulator::new(cfg.clone());
         post(&mut |s, d, b| serial.post_flow(s, d, b));
         serial.run_hosts_until(SimTime::MAX);
-        let mut par = ParSimulator::with_threads(cfg, 4);
+        let mut par = Simulator::with_threads(cfg, 4);
         post(&mut |s, d, b| par.post_flow(s, d, b));
         par.run();
         let sf: Vec<_> = serial.flows().iter().map(|f| f.completed_at).collect();
@@ -493,7 +342,7 @@ mod tests {
     #[test]
     fn peak_packets_is_thread_invariant() {
         let run = |threads| {
-            let mut par = ParSimulator::with_threads(quick_cfg(), threads);
+            let mut par = Simulator::with_threads(quick_cfg(), threads);
             par.run();
             par.peak_packets()
         };

@@ -3,7 +3,8 @@
 //! [`HeapQueue`] under randomized push/pop interleavings — including
 //! same-tick bursts (the determinism tie-break), pushes landing exactly
 //! on bucket boundaries, and far-future times that traverse the overflow
-//! heap and migrate back onto the wheel.
+//! heap and migrate back onto the wheel — and the pop-then-re-push of
+//! one key that `Simulator::run_hosts_until` does at its horizon.
 //!
 //! Driven by `ib_runtime::check`: cases generate from a deterministic
 //! seed (override with `CHECK_SEED=<u64>` to replay a failure), failing
@@ -23,6 +24,9 @@ enum Op {
         delta: SimTime,
     },
     Pop,
+    /// Pop the minimum and `push_keyed` it straight back under its own
+    /// `(time, seq)` key: the stream must not change.
+    Requeue,
 }
 
 /// Delta families the wheel must handle: same-tick, sub-bucket, exact
@@ -43,12 +47,12 @@ fn gen_script(g: &mut check::Gen) -> Vec<Op> {
     (0..len)
         .map(|_| {
             // Push-biased so the queue builds depth worth popping through.
-            if g.u64_in(0..3) == 0 {
-                Op::Pop
-            } else {
-                Op::Push {
+            match g.u64_in(0..9) {
+                0..=2 => Op::Pop,
+                3 => Op::Requeue,
+                _ => Op::Push {
                     delta: gen_delta(g),
-                }
+                },
             }
         })
         .collect()
@@ -75,6 +79,7 @@ fn shrink_script(script: &[Op]) -> Vec<Vec<Op>> {
 trait Queue {
     fn push(&mut self, at: SimTime, payload: u64);
     fn pop(&mut self) -> Option<(SimTime, u64)>;
+    fn requeue(&mut self);
 }
 
 impl Queue for EventQueue<u64> {
@@ -84,6 +89,11 @@ impl Queue for EventQueue<u64> {
     fn pop(&mut self) -> Option<(SimTime, u64)> {
         EventQueue::pop(self)
     }
+    fn requeue(&mut self) {
+        if let Some((key, payload)) = self.pop_keyed() {
+            self.push_keyed(key.time, key.seq, payload);
+        }
+    }
 }
 
 impl Queue for HeapQueue<u64> {
@@ -92,6 +102,11 @@ impl Queue for HeapQueue<u64> {
     }
     fn pop(&mut self) -> Option<(SimTime, u64)> {
         HeapQueue::pop(self)
+    }
+    fn requeue(&mut self) {
+        if let Some((key, payload)) = self.pop_keyed() {
+            self.push_keyed(key.time, key.seq, payload);
+        }
     }
 }
 
@@ -115,6 +130,7 @@ fn execute<Q: Queue>(script: &[Op], q: &mut Q) -> Vec<(SimTime, u64)> {
                     popped.push((t, p));
                 }
             }
+            Op::Requeue => q.requeue(),
         }
     }
     while let Some(item) = q.pop() {
